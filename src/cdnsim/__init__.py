@@ -13,7 +13,7 @@ from .scenarios import (ConfigError, ScenarioConfig, TopologyConfig,
                         config_from_dict, load_config)
 from .sim import Simulator, derive_seed, make_rng
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ContentStore", "LruBytes", "ContentObject", "Data", "Interest",

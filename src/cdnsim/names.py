@@ -71,7 +71,11 @@ class Name:
         return self.components[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Name) and self.components == other.components
+        # A Name equals its component tuple, and the hashes agree, so a
+        # table keyed by either answers a lookup by either.
+        if isinstance(other, Name):
+            return self.components == other.components
+        return self.components == other
 
     def __hash__(self) -> int:
         return hash(self.components)
@@ -110,16 +114,13 @@ def longest_prefix_match(table, query: Name):
     """Return the value whose prefix has the most components among all
     prefixes of `query`, or None.
 
-    `table` maps Name (or component tuple) to a value.  Matching is
-    component-wise: a prefix never matches inside a component.
+    `table` maps component tuples (as `NdnNode.fib` does) or Names to
+    values; it is probed with tuples, which match Name keys too.
+    Matching is component-wise: a prefix never matches inside a component.
     """
-    by_comps = {}
-    for key, value in table.items():
-        comps = key.components if isinstance(key, Name) else tuple(key)
-        by_comps[comps] = value
     q = query.components
     for length in range(len(q), -1, -1):
-        hit = by_comps.get(q[:length])
+        hit = table.get(q[:length])
         if hit is not None:
             return hit
     return None

@@ -135,6 +135,7 @@ class NdnNode(Node):
         self.fib: dict[tuple, FibEntry] = {}
         self.pit: dict[Name, PitEntry] = {}
         self.faces: dict[int, str] = {}        # face_id -> neighbor node name
+        self.face_out: list[int] = [0]          # packets sent, by face id
         self.face_of: dict[str, int] = {}
         self.qualities: dict[int, FaceQuality] = {}
         self.producer_contents: dict[tuple, ContentObject] = {}
@@ -151,6 +152,7 @@ class NdnNode(Node):
         face_id = len(self.faces) + 1
         self.faces[face_id] = neighbor
         self.face_of[neighbor] = face_id
+        self.face_out.append(0)
         self.qualities[face_id] = FaceQuality(face_id)
         return face_id
 
@@ -182,7 +184,7 @@ class NdnNode(Node):
             self.count("interests_out")
         else:
             self.count("data_out")
-        self.count(f"face{face_id}_out")
+        self.face_out[face_id] += 1
         if face_id == APP_FACE:
             if self.app_deliver is not None:
                 self.app_deliver(packet)

@@ -108,17 +108,21 @@ class Network:
 
     def transmit(self, src: str, dst: str, packet) -> bool:
         """Send one packet over the src-dst link.  Returns False on drop."""
+        sim = self.sim
         link = self.links[(src, dst)]
         if not link.up:
             link.dropped_down += 1
-            self.sim.log(src, "drop-linkdown", f"{dst} {packet}")
+            if sim.trace is not None:
+                sim.log(src, "drop-linkdown", f"{dst} {packet}")
             return False
         if link.should_drop(src, dst):
             link.dropped_loss += 1
-            self.sim.log(src, "drop-loss", f"{dst} {packet}")
+            if sim.trace is not None:
+                sim.log(src, "drop-loss", f"{dst} {packet}")
             return False
-        self.sim.log(src, "tx", f"{dst} {packet}")
-        self.sim.after(link.delay, self._deliver, src, dst, packet)
+        if sim.trace is not None:
+            sim.log(src, "tx", f"{dst} {packet}")
+        sim.after(link.delay, self._deliver, src, dst, packet)
         return True
 
     def _deliver(self, src: str, dst: str, packet):
@@ -126,7 +130,8 @@ class Network:
         if not node.alive:
             node.count("dropped_dead")
             return
-        self.sim.log(dst, "rx", f"{src} {packet}")
+        if self.sim.trace is not None:
+            self.sim.log(dst, "rx", f"{src} {packet}")
         node.on_packet(packet, src)
 
     # --- fault and parameter-change injection -------------------------------
@@ -137,7 +142,8 @@ class Network:
             return
         node.alive = False
         node.death_time = self.sim.now
-        self.sim.log(name, "killed")
+        if self.sim.trace is not None:
+            self.sim.log(name, "killed")
         node.on_kill()
         for hook in list(self.kill_hooks):
             hook(name)
@@ -159,7 +165,9 @@ class Network:
             link.loss = loss
         if up is not None:
             link.up = up
-        self.sim.log(a, "link-change", f"{b} delay={link.delay} loss={link.loss} up={link.up}")
+        if self.sim.trace is not None:
+            self.sim.log(a, "link-change",
+                         f"{b} delay={link.delay} loss={link.loss} up={link.up}")
 
     def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None, up=None):
         if (a, b) not in self.links:

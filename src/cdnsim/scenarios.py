@@ -170,10 +170,23 @@ class ScenarioConfig:
             raise ConfigError("mss: must be positive")
         if self.window < 1:
             raise ConfigError("window: must be >= 1")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries: must be >= 0")
+        if self.pit_lifetime <= 0:
+            raise ConfigError("pit_lifetime: must be positive")
+        if self.strategy_interval <= 0:
+            raise ConfigError("strategy_interval: must be positive")
+        if self.random_topologies < 0:
+            raise ConfigError("random_topologies: must be >= 0")
+        if self.range_repeats < 1:
+            raise ConfigError("range_repeats: must be >= 1")
         if not self.file_sizes or any(s <= 0 for s in self.file_sizes):
             raise ConfigError("file_sizes: must be non-empty and positive")
         if any(r <= 0 for r in self.ranges):
             raise ConfigError("ranges: must be positive")
+        if self.experiment == "D" and self.warm_bytes > self.file_sizes[0]:
+            # D warms int1 with the first warm_bytes of file_sizes[0].
+            raise ConfigError("warm_bytes: must not exceed file_sizes[0]")
         if not 0.0 <= self.switch_fraction <= 1.0:
             raise ConfigError("switch_fraction: must be in [0, 1]")
         if self.range_mode not in ("bypass", "full_fetch"):

@@ -71,6 +71,13 @@ class Simulator:
             fn(*args)
 
     def log(self, node: str, kind: str, detail: str = ""):
+        """Append one `time<TAB>node<TAB>kind<TAB>detail` trace line.
+
+        Does nothing when tracing is off.  Python evaluates the arguments
+        before the call, so a caller that formats `detail` (an f-string,
+        a packet repr) must check `self.trace is not None` first; this
+        keeps an untraced run free of string work.
+        """
         if self.trace is not None:
             self.trace.append(f"{self.now:g}\t{node}\t{kind}\t{detail}")
 

@@ -1,11 +1,14 @@
 import json
 import pathlib
+import re
 
 import pytest
 
+import cdnsim
 from cdnsim.cli import main
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, body):
@@ -126,3 +129,10 @@ def test_bad_reps_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "A"})
     assert main(["run", "--config", cfg, "--reps", "0",
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: tomllib is missing on Python 3.10.
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
+    assert match and cdnsim.__version__ == match.group(1)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cdnsim.cli import main
 from cdnsim.scenarios import (ConfigError, config_from_dict, load_config,
                               parse_bytes, parse_duration_ms, parse_loss)
 
@@ -148,3 +149,32 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(str(p))
     assert cfg.experiment == "E"
     assert cfg.file_sizes == [2 * MB]
+
+
+# Configs that used to pass validation and then hung, crashed or wrote
+# empty output; each must now be refused by the named field.
+REFUSED = {
+    "strategy_interval": {"experiment": "F", "strategy_interval": 0},
+    "warm_bytes": {"experiment": "D", "file_sizes": ["1MB"],
+                   "warm_bytes": "2MB"},
+    "range_repeats": {"experiment": "D", "range_repeats": 0},
+    "pit_lifetime": {"experiment": "A", "pit_lifetime": 0},
+    "max_retries": {"experiment": "A", "max_retries": -1},
+    "random_topologies": {"experiment": "B", "random_topologies": -1},
+    "kill_time": {"experiment": "E", "kill_time": -1},
+}
+
+
+@pytest.mark.parametrize("field", sorted(REFUSED))
+def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, field):
+    body = REFUSED[field]
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(body)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    assert main(["validate-config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,115 @@
+"""Golden outputs: sha256 digests of what `cdnsim run` and `cdnsim trace`
+write, pinned across commits.
+
+Each shipped config runs at reduced repetitions and sizes so the whole
+file takes a few seconds.  A change that alters any number, any line of
+a trace, or the order of records fails here; a deliberate model change
+must update the digests and say why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cdnsim.cli import main
+from cdnsim.experiments import HttpWorld
+from cdnsim.scenarios import config_from_dict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Shipped config -> keys overridden to keep the run small.  E's kill and
+# F's degrade move earlier so they still land mid-transfer.
+REDUCED = {
+    "experiment_a.json": {"repetitions": 2, "file_sizes": ["1MB", "5MB"]},
+    "experiment_b.json": {"repetitions": 1},
+    "experiment_c.json": {"file_sizes": ["2MB"]},
+    "experiment_d.json": {"file_sizes": ["4MB"], "ranges": ["1MB", "3MB"],
+                          "warm_bytes": "2MB", "range_repeats": 2},
+    "experiment_e.json": {"repetitions": 2, "file_sizes": ["4MB"],
+                          "kill_time": "1s"},
+    "experiment_f.json": {"repetitions": 2, "file_sizes": ["4MB"],
+                          "degrade_time": "400ms", "strategy_interval": "50ms"},
+}
+
+GOLDEN = {
+    "experiment_a.json": {
+        "fig_A.dat": "6e37e06efbd6d42a3181c865c292430ab4abf277eab4fae506e746d6cbbb45e2",
+        "records.csv": "ba1fed1063c17dc22715bb92afe811d979f7c9d57915f0dc8d3ecb47e3f81f62",
+        "summary.csv": "2516a436b51607a71b007d8e771f412c1317dd4f6da87ad85091a07a5552e367",
+    },
+    "experiment_b.json": {
+        "fig_B.dat": "7d6b3e155862ffe2d12a004b46cf7c66f2b6e92b73065a3807d7fb89b5c75337",
+        "records.csv": "a7806f5e1bb46079b6dca6efe5eab4ba8d83263fc6ed915154284add5b1247ef",
+        "summary.csv": "9d00516d421924d8ee811c3e4442b100fde0374c1f88f95b7d966e0eb2c9e460",
+    },
+    "experiment_c.json": {
+        "fig_C.dat": "04fa18d038be6527ef73b1ab931b0bb3a198d484c4d38ef4dc214969f9e6e169",
+        "records.csv": "0ebc5b9c5036d3f3f0992f8fd161515510b0e2de3796eb64c79be276bd84fd14",
+        "summary.csv": "f1d0eeebda83cc7a932c7d8451c965da4ec5e2b329aa7651d1c8501e29ee5711",
+    },
+    "experiment_d.json": {
+        "fig_D.dat": "e9ef3a98238854f370a6c2d0d121fa6a09e66f31dcb5ad932099245e6a0042db",
+        "records.csv": "662972c856e3e747cae80ba3dbbf2bc888ec74e043119dc2132a09bf3e920185",
+        "summary.csv": "190ecdd5dd96b64e17bc22330efbbdfcd0043b7cee51017a34a98a1a6034daa8",
+    },
+    "experiment_e.json": {
+        "fig_E.dat": "99213dc8349bed5df7fdc92321eb8261a2c833ed4097724d1a8d68e1944a1b77",
+        "records.csv": "c7bf82089e39f0eb35f1b33337ac43c9b41c4da452d46426c3f7402405d8aca9",
+        "summary.csv": "3c66edaf7cef930ec63e9a7d480375d772fc007a36811b8c47cab622657f1b54",
+    },
+    "experiment_f.json": {
+        "fig_F.dat": "c442d0121038f519abb688c80687468b7f0ae342c9b51a262324afb5cc943e86",
+        "records.csv": "4fac59bebb4dd0a9bc62a8db7bab43ad54e0b55f310032c7404c151f4d905471",
+        "summary.csv": "3dbbc4a031d9219200e05f2222aaf78f3de78ec485d79005b19c047c0efa7f7c",
+    },
+}
+
+NDN_TRACE_LINES = 1368
+NDN_TRACE_SHA256 = "754097ea32fbc9aede6b3b53e9df17c7d374eba8857378e93613d663cedcf2cf"
+HTTP_TRACE_SHA256 = "d425380371a83e3c6f53c85535bca978a77a3b82fe4936c46d72935cd3b15a2a"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_outputs(tmp_path, config_name) -> dict:
+    raw = json.loads((CONFIGS / config_name).read_text())
+    raw.update(REDUCED[config_name])
+    cfg_path = tmp_path / config_name
+    cfg_path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("config_name", sorted(REDUCED))
+def test_run_outputs_match_golden(tmp_path, config_name):
+    assert run_outputs(tmp_path, config_name) == GOLDEN[config_name]
+
+
+def test_ndn_trace_matches_golden(tmp_path):
+    out = tmp_path / "trace.txt"
+    assert main(["trace", "--experiment", "A", "--size", "1000000",
+                 "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert len(text.splitlines()) == NDN_TRACE_LINES
+    assert sha256(text) == NDN_TRACE_SHA256
+
+
+def http_trace() -> str:
+    cfg = config_from_dict({"experiment": "E", "file_sizes": ["1MB"]})
+    world = HttpWorld(cfg, 7, cfg.file_sizes[0], lb_policy="round_robin",
+                      trace=True)
+    world.net.schedule_link_change(300.0, "csc", "int2", delay=20.0, loss=0.01)
+    world.net.schedule_kill(1000.0, "int1")
+    world.fetch()
+    return world.sim.trace_text()
+
+
+def test_http_trace_matches_golden():
+    text = http_trace()
+    assert "\tkilled\t" in text and "\tlink-change\t" in text
+    assert sha256(text.encode()) == HTTP_TRACE_SHA256

@@ -50,6 +50,8 @@ def test_name_is_immutable_and_hashable():
     with pytest.raises(AttributeError):
         n.components = ()
     assert len({n, Name(("a", "b"))}) == 1
+    assert n == ("a", "b") and hash(n) == hash(("a", "b"))
+    assert n != ("a",) and n != "/a/b"
 
 
 def test_is_prefix_of_is_component_wise():

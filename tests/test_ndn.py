@@ -231,6 +231,8 @@ def test_mark_face_dead_reforwards_pending_interests():
     r.mark_face_dead(f_u1)
     assert r.pit[name].out_face_last == f_u2
     assert r.counters["failover_reforwards"] == 1
+    # packets sent per face id; index 0 is the application face
+    assert r.face_out == [0, 0, 1, 1]
     sim.run()
     assert net.nodes["u2"].counters.get("interests_in") == 1
 

@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+from cdnsim.experiments import NdnWorld
+from cdnsim.names import Name
 from cdnsim.network import Network, Node
+from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import SimError, Simulator
 
 
@@ -154,3 +157,41 @@ def test_same_seed_same_drop_sequence():
 
     assert draws(5) == draws(5)
     assert draws(5) != draws(6)
+
+
+def test_untraced_fetch_formats_no_trace_text(monkeypatch):
+    # A packet repr formats its Name, so counting Name.__str__ counts the
+    # trace text built.  Untraced, only the consumer's set-up string (the
+    # prefix that seeds its nonce RNG) may be built.
+    original_str, original_log = Name.__str__, Simulator.log
+    calls, logged = [], []
+
+    def counting_str(self):
+        calls.append(self)
+        return original_str(self)
+
+    def counting_log(sim, *args):
+        logged.append(args)
+        original_log(sim, *args)
+
+    monkeypatch.setattr(Name, "__str__", counting_str)
+    monkeypatch.setattr(Simulator, "log", counting_log)
+    cfg = config_from_dict({"experiment": "A", "file_sizes": ["100KB"]})
+
+    def fetch(trace):
+        world = NdnWorld(cfg, 3, cfg.file_sizes[0], loss_access=0.05,
+                         trace=trace)
+        world.net.schedule_link_change(100.0, "csc", "int2", delay=20.0)
+        world.net.schedule_kill(150.0, "int2")
+        res = world.fetch()
+        assert res.success and world.content.segment_count > 1
+        return world
+
+    fetch(trace=False)
+    assert len(calls) == 1
+    assert logged == []
+    calls.clear()
+    world = fetch(trace=True)
+    kinds = {line.split("\t")[2] for line in world.sim.trace}
+    assert {"tx", "rx", "drop-loss", "killed", "link-change"} <= kinds
+    assert len(calls) > len(world.sim.trace) // 2
