@@ -12,11 +12,13 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .experiments import (ExperimentOutput, NdnWorld, run_experiment)
+from .experiments import (ExperimentOutput, NdnWorld, collect, execute,
+                          plot_files, run_specs)
 from .metrics import records_to_csv, summarize, summary_to_csv
 from .scenarios import (EXPERIMENT_SUMMARIES, ConfigError, ScenarioConfig,
                         config_from_dict, load_config)
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--plane", choices=["ndn", "http", "both"],
                      help="override which plane(s) to run")
     run.add_argument("--jobs", type=int, default=1,
-                     help="run repetitions in parallel processes")
+                     help="run the experiment's runs in parallel processes")
     run.add_argument("--trace", action="store_true",
                      help="also write an event trace of one run to the "
                           "output directory")
@@ -83,18 +85,16 @@ def _record_key(rec):
     return (rec.experiment, rec.plane, rec.size_bytes, rec.mode, rec.seed)
 
 
-def _run_one_rep(cfg: ScenarioConfig, rep: int):
-    return run_experiment(cfg, reps=[rep]).records
-
-
 def _run(cfg: ScenarioConfig, jobs: int) -> ExperimentOutput:
-    if jobs <= 1 or cfg.repetitions == 1:
-        return run_experiment(cfg)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunks = pool.map(_run_one_rep, [cfg] * cfg.repetitions,
-                          range(cfg.repetitions))
-    records = [rec for chunk in chunks for rec in chunk]
-    return ExperimentOutput(records)
+    specs = run_specs(cfg)
+    if jobs <= 1 or len(specs) == 1:
+        results = [execute(cfg, spec) for spec in specs]
+    else:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
+                                 mp_context=context) as pool:
+            results = list(pool.map(execute, [cfg] * len(specs), specs))
+    return collect(cfg, results)
 
 
 def cmd_run(args) -> int:
@@ -107,8 +107,7 @@ def cmd_run(args) -> int:
         fh.write(records_to_csv(records))
     with open(os.path.join(args.out, "summary.csv"), "w") as fh:
         fh.write(summary_to_csv(rows))
-    plot_files = out.plot_files or _replot(cfg, records)
-    for name, text in plot_files.items():
+    for name, text in out.plot_files.items():
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
     if getattr(args, "trace", False):
@@ -125,14 +124,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _replot(cfg: ScenarioConfig, records) -> dict:
-    # Parallel runs return bare records; rebuild the plot data from them.
-    from .experiments import _cache_plot, _completion_plot, _ttfb_plot
-    if cfg.experiment == "B":
-        return _ttfb_plot(records)
-    if cfg.experiment == "C":
-        return _cache_plot(records)
-    return _completion_plot(cfg.experiment, records)
+# bench/run.py builds the plot files of records it gathered itself
+# through this name.
+_replot = plot_files
 
 
 def cmd_list(_args) -> int:

@@ -89,7 +89,3 @@ class ContentObject:
         last = end // self.chunk_size + 1
         return range(first, last + 1)
 
-
-def segment_content(content: ContentObject) -> list[Data]:
-    """Split a content object into its ordered Data packets."""
-    return [content.segment_data(k) for k in range(1, content.segment_count + 1)]

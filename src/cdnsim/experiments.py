@@ -14,6 +14,12 @@ Experiments:
   D  byte-range retrieval: segment reuse vs bypass / full-fetch proxies
   E  upstream killed mid-transfer: failover vs broken connection
   F  weighted path selection under scripted path degradation
+
+Each experiment is a list of run specs (`run_specs`): one world each,
+with its seed, its scenario events and the fetches that make its records.
+`execute` runs one spec; `collect` joins the results, in spec order, into
+records, plot data and details, so a pool that executes the specs in
+parallel writes the same output as a serial run.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .content import ContentObject
 from .httpproxy import HttpNode, HttpPlane, HttpRequest, ProxyConfig
-from .metrics import MetricsRecord, max_gap, summarize
+from .metrics import Fetch, MetricsRecord, max_gap, summarize
 from .names import Name, longest_prefix_match
 from .ndn import ConsumerPipeline, NdnNode, strategy_select
 from .network import Network
@@ -34,13 +40,7 @@ from .sim import Simulator, derive_seed, make_rng
 CONTENT_PREFIX = Name(("data_file",))
 CONTENT_URL = "/data_file"
 
-NODE_ROLES = {
-    "client": "client",
-    "csc": "client_side_cache",
-    "int1": "intermediate_cache",
-    "int2": "intermediate_cache",
-    "origin": "origin",
-}
+NODES = ("client", "csc", "int1", "int2", "origin")
 
 
 @dataclass
@@ -66,18 +66,16 @@ class NdnWorld:
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
-                 cache_nodes=None, strategy: str | None = None,
-                 trace: bool = False):
+                 strategy: str | None = None, trace: bool = False):
         self.cfg = cfg
         self.seed = seed
         topo = topo if topo is not None else cfg.topology
-        cache_nodes = set(cache_nodes if cache_nodes is not None else cfg.cache_nodes)
         strategy = strategy or cfg.strategy
         self.sim = Simulator(trace)
         self.net = Network(self.sim, seed)
         self.nodes: dict[str, NdnNode] = {}
-        for name in NODE_ROLES:
-            capacity = cfg.cache_budget if name in cache_nodes else 0
+        for name in NODES:
+            capacity = cfg.cache_budget if name in cfg.cache_nodes else 0
             node = NdnNode(name, cs_capacity=capacity, strategy=strategy,
                            pit_lifetime=cfg.pit_lifetime)
             self.net.add_node(node)
@@ -114,10 +112,11 @@ class NdnWorld:
             if node.alive and killed in node.face_of:
                 node.mark_face_dead(node.face_of[killed])
 
-    def install_quality_oracle(self, node_name: str = "csc",
-                               interval: float | None = None):
-        node = self.nodes[node_name]
-        interval = interval if interval is not None else self.cfg.strategy_interval
+    def install_quality_oracle(self):
+        """Every strategy interval, give csc each face's true delay, loss
+        and liveness, and record the upstream its strategy would pick."""
+        node = self.nodes["csc"]
+        interval = self.cfg.strategy_interval
         net = self.net
 
         def tick():
@@ -137,12 +136,24 @@ class NdnWorld:
 
         self.sim.at(self.sim.now, tick)
 
+    def script_switch(self, k: int):
+        """Send the first fetch's segments 1..k from csc to int1 and every
+        other Interest to int2: C's mid-transfer source switch."""
+        face1, face2 = self.face("csc", "int1"), self.face("csc", "int2")
+
+        def choose(interest):
+            if self._fetches == 1 and (interest.name.segment() or 0) <= k:
+                return face1
+            return face2
+
+        self.nodes["csc"].scripted_chooser = choose
+
     def warm(self, node_name: str, segments):
         cs = self.nodes[node_name].cs
         for k in segments:
             cs.insert(self.content.segment_data(k))
 
-    def fetch(self, byte_range=None, label: str = "fetch"):
+    def fetch(self, byte_range=None, label: str = "fetch") -> Fetch:
         self._fetches += 1
         holder = {}
 
@@ -173,19 +184,16 @@ class NdnWorld:
 class HttpWorld:
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
-                 topo: TopologyConfig | None = None, cache_nodes=None,
+                 topo: TopologyConfig | None = None,
                  lb_policy: str = "round_robin", range_mode: str | None = None,
                  trace: bool = False):
-        self.cfg = cfg
         topo = topo if topo is not None else cfg.topology
-        cache_nodes = set(cache_nodes if cache_nodes is not None else cfg.cache_nodes)
         range_mode = range_mode or cfg.range_mode
         self.sim = Simulator(trace)
         self.net = Network(self.sim, seed)
-        budget = cfg.cache_budget
 
         def cap(name):
-            return budget if name in cache_nodes else 0
+            return cfg.cache_budget if name in cfg.cache_nodes else 0
 
         self.nodes = {}
         self.nodes["client"] = HttpNode("client")
@@ -206,14 +214,13 @@ class HttpWorld:
         self.nodes["origin"].publish(CONTENT_URL, size)
         self.plane = HttpPlane(self.net, mss=cfg.mss)
 
-    def fetch(self, byte_range=None, cacheable: bool = True):
+    def fetch(self, byte_range=None) -> Fetch:
         holder = {}
-        request = HttpRequest(CONTENT_URL, byte_range=byte_range,
-                              cacheable=cacheable)
-        self.plane.get("client", "csc", request,
-                       lambda meta: holder.update(meta=meta))
+        self.plane.get("client", "csc",
+                       HttpRequest(CONTENT_URL, byte_range=byte_range),
+                       lambda result: holder.update(result=result))
         self.sim.run()
-        return holder["meta"]
+        return holder["result"]
 
     @property
     def origin_touches(self) -> int:
@@ -223,52 +230,6 @@ class HttpWorld:
         cache = self.nodes[node_name].cache
         return cache.content_used if cache is not None else 0
 
-
-def _planes(cfg: ScenarioConfig):
-    return ["ndn", "http"] if cfg.plane == "both" else [cfg.plane]
-
-
-def _reps(cfg: ScenarioConfig, reps=None):
-    return range(cfg.repetitions) if reps is None else reps
-
-
-# --- experiment A: goodput with and without loss ----------------------------
-
-def run_experiment_A(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    records = []
-    for size in cfg.file_sizes:
-        for rep in _reps(cfg, reps):
-            for plane in _planes(cfg):
-                for mode in ("lossless", "lossy"):
-                    if mode == "lossless":
-                        la, lu = cfg.loss_access, cfg.loss_upstream
-                    else:
-                        la, lu = cfg.lossy_access, cfg.lossy_upstream
-                    seed = derive_seed(cfg.base_seed, "A", plane, size, mode, rep)
-                    rec = MetricsRecord("A", plane, size, mode, rep)
-                    if plane == "ndn":
-                        world = NdnWorld(cfg, seed, size,
-                                         loss_access=la, loss_upstream=lu)
-                        res = world.fetch()
-                        rec.ttfb_ms = res.ttfb
-                        rec.completion_ms = res.completion
-                        rec.delivered_bytes = res.delivered_bytes
-                        rec.origin_touches = world.origin_touches
-                        rec.success = res.success
-                    else:
-                        world = HttpWorld(cfg, seed, size,
-                                          loss_access=la, loss_upstream=lu)
-                        meta = world.fetch()
-                        rec.ttfb_ms = meta.ttfb
-                        rec.completion_ms = meta.completion
-                        rec.delivered_bytes = meta.delivered_bytes
-                        rec.origin_touches = world.origin_touches
-                        rec.success = meta.success
-                    records.append(rec)
-    return ExperimentOutput(records, plot_files=_completion_plot("A", records))
-
-
-# --- experiment B: time to first byte ---------------------------------------
 
 def experiment_b_topologies(cfg: ScenarioConfig):
     topos = [dataclasses.replace(cfg.topology)]
@@ -283,265 +244,216 @@ def experiment_b_topologies(cfg: ScenarioConfig):
     return topos
 
 
-def run_experiment_B(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    size = cfg.file_sizes[0]
-    records = []
-    topos = experiment_b_topologies(cfg)
-    for rep in _reps(cfg, reps):
-        for ti, topo in enumerate(topos):
-            for state in ("cold", "warm"):
-                mode = f"{state}-topo{ti}"
-                for plane in _planes(cfg):
-                    seed = derive_seed(cfg.base_seed, "B", plane, ti, state, rep)
-                    rec = MetricsRecord("B", plane, size, mode, rep)
+def switch_segment(cfg: ScenarioConfig) -> int:
+    """C's last segment fetched through int1 before the switch."""
+    segments = -(-cfg.file_sizes[0] // cfg.chunk_size)
+    return math.ceil(cfg.switch_fraction * segments)
+
+
+# --- run specs ----------------------------------------------------------------
+
+@dataclass
+class RunSpec:
+    """One world to build, the scenario to set up in it, and its fetches.
+
+    Each entry of `fetches` makes one record out of the fetches it names;
+    a label seeds that fetch's NDN consumer.  `size` is the content size;
+    a record reports the bytes its fetches requested.
+    """
+    experiment: str
+    plane: str
+    size: int
+    mode: str
+    rep: int
+    seed: int
+    world: dict = field(default_factory=dict)  # NdnWorld/HttpWorld keywords
+    warm: tuple | None = None          # (node, leading bytes cached there)
+    byte_range: tuple | None = None    # inclusive, for every fetch
+    kill: tuple | None = None          # (time, node)
+    degrade: tuple | None = None       # (time, delay, loss) of csc--int1
+    switch_segment: int | None = None  # see NdnWorld.script_switch
+    fetches: tuple = (("fetch",),)
+
+
+def run_specs(cfg: ScenarioConfig, reps=None) -> list:
+    """Every run of cfg's experiment, in output order."""
+    reps = range(cfg.repetitions) if reps is None else reps
+    planes = ["ndn", "http"] if cfg.plane == "both" else [cfg.plane]
+    exp, base, size = cfg.experiment, cfg.base_seed, cfg.file_sizes[0]
+    if exp == "A":
+        losses = {"lossless": (cfg.loss_access, cfg.loss_upstream),
+                  "lossy": (cfg.lossy_access, cfg.lossy_upstream)}
+        return [RunSpec("A", plane, fs, mode, rep,
+                        derive_seed(base, "A", plane, fs, mode, rep),
+                        world={"loss_access": la, "loss_upstream": lu})
+                for fs in cfg.file_sizes for rep in reps for plane in planes
+                for mode, (la, lu) in losses.items()]
+    if exp == "B":
+        topos = experiment_b_topologies(cfg)
+        return [RunSpec("B", plane, size, f"{state}-topo{ti}", rep,
+                        derive_seed(base, "B", plane, ti, state, rep),
+                        world={"topo": topo},
+                        warm=("csc", size) if state == "warm" else None)
+                for rep in reps for ti, topo in enumerate(topos)
+                for state in ("cold", "warm") for plane in planes]
+    specs = []
+    if exp == "D":
+        repeats = tuple((f"r{i}",) for i in range(cfg.range_repeats))
+        for rep in reps:
+            for nbytes in cfg.ranges:
+                byte_range = (0, nbytes - 1)
+                for plane in planes:
                     if plane == "ndn":
-                        world = NdnWorld(cfg, seed, size, topo=topo)
-                        if state == "warm":
-                            world.warm("csc",
-                                       range(1, world.content.segment_count + 1))
-                        res = world.fetch()
-                        rec.ttfb_ms = res.ttfb
-                        rec.completion_ms = res.completion
-                        rec.delivered_bytes = res.delivered_bytes
-                        rec.success = res.success
-                    else:
-                        world = HttpWorld(cfg, seed, size, topo=topo)
-                        if state == "warm":
-                            world.nodes["csc"].warm_cache(CONTENT_URL, size)
-                        meta = world.fetch()
-                        rec.ttfb_ms = meta.ttfb
-                        rec.completion_ms = meta.completion
-                        rec.delivered_bytes = meta.delivered_bytes
-                        rec.success = meta.success
-                    records.append(rec)
-    details = {"topologies": topos}
-    return ExperimentOutput(records, plot_files=_ttfb_plot(records),
-                            details=details)
+                        specs.append(RunSpec(
+                            "D", plane, size, "ndn-warm", rep,
+                            derive_seed(base, "D", plane, nbytes, rep),
+                            warm=("int1", cfg.warm_bytes),
+                            byte_range=byte_range, fetches=repeats))
+                        continue
+                    for mode in ("bypass", "full_fetch"):
+                        specs.append(RunSpec(
+                            "D", plane, size, mode, rep,
+                            derive_seed(base, "D", plane, nbytes, mode, rep),
+                            world={"range_mode": mode},
+                            byte_range=byte_range, fetches=repeats))
+        return specs
+    for rep in reps:
+        for plane in planes:
+            seed = derive_seed(base, exp, plane, rep)
+            if exp == "C":
+                k = switch_segment(cfg) if plane == "ndn" else None
+                spec = RunSpec("C", plane, size, "switch", rep, seed,
+                               switch_segment=k,
+                               fetches=(("first", "second"),))
+            elif exp == "E":
+                spec = RunSpec("E", plane, size, "failover", rep, seed,
+                               kill=(cfg.kill_time, cfg.kill_node))
+            else:
+                world = ({"strategy": "weighted-best-path"} if plane == "ndn"
+                         else {"lb_policy": "single"})
+                spec = RunSpec("F", plane, size, "degrade", rep, seed,
+                               world=world,
+                               degrade=(cfg.degrade_time, cfg.degrade_delay,
+                                        cfg.degrade_loss))
+            specs.append(spec)
+    return specs
 
 
-# --- experiment C: cache utilization after a source switch ------------------
+# Experiments whose records report origin touches and intermediate-cache
+# bytes; the others leave those columns at zero.
+_REPORTS_ORIGIN = {"A", "C", "D"}
+_REPORTS_CACHE = {"C", "D"}
 
-def run_experiment_C(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    size = cfg.file_sizes[0]
+
+def _fetch(world, byte_range, label: str) -> Fetch:
+    # Only the NDN consumer draws randomness, seeded by the fetch's label.
+    if isinstance(world, NdnWorld):
+        return world.fetch(byte_range, label=label)
+    return world.fetch(byte_range)
+
+
+def execute(cfg: ScenarioConfig, spec: RunSpec):
+    """Run one spec.  Returns (records, detail): the spec's records in
+    fetch order and the per-run values that `collect` appends to the
+    experiment's details."""
+    ndn = spec.plane == "ndn"
+    world = (NdnWorld if ndn else HttpWorld)(cfg, spec.seed, spec.size,
+                                             **spec.world)
+    if spec.warm is not None:
+        node, nbytes = spec.warm
+        if ndn:
+            world.warm(node, range(1, math.ceil(nbytes / cfg.chunk_size) + 1))
+        else:
+            world.nodes[node].warm_cache(CONTENT_URL, nbytes)
+    if spec.kill is not None:
+        world.net.schedule_kill(*spec.kill)
+    if spec.degrade is not None:
+        if ndn:
+            world.install_quality_oracle()
+        when, delay, loss = spec.degrade
+        world.net.schedule_link_change(when, "csc", "int1",
+                                       delay=delay, loss=loss)
+    if spec.switch_segment is not None:
+        world.script_switch(spec.switch_segment)
+
+    size = spec.size
+    if spec.byte_range is not None:
+        size = spec.byte_range[1] - spec.byte_range[0] + 1
     records = []
+    touched = 0
+    for i, labels in enumerate(spec.fetches):
+        results = [_fetch(world, spec.byte_range, label) for label in labels]
+        rec = MetricsRecord(spec.experiment, spec.plane, size, spec.mode,
+                            spec.rep * len(spec.fetches) + i)
+        if len(results) == 1:
+            rec.ttfb_ms = results[0].ttfb
+        rec.completion_ms = sum(r.completion for r in results)
+        rec.delivered_bytes = sum(r.delivered_bytes for r in results)
+        rec.success = all(r.success for r in results)
+        if spec.experiment in _REPORTS_ORIGIN:
+            rec.origin_touches = world.origin_touches - touched
+            touched = world.origin_touches
+        if spec.experiment in _REPORTS_CACHE:
+            rec.cache1_bytes = world.cache_bytes("int1")
+            rec.cache2_bytes = world.cache_bytes("int2")
+        if spec.kill is not None:
+            kill_time = spec.kill[0]
+            rec.max_gap_ms = max_gap([t for t, _ in results[0].arrivals],
+                                     window=(kill_time - 500.0,
+                                             kill_time + 1500.0))
+        records.append(rec)
+
+    detail = {}
+    result = results[-1]
+    if spec.kill is not None and ndn:
+        detail["ndn_results"] = result
+    if spec.degrade is not None and ndn:
+        detail["ndn_series"] = list(world.chosen_series)
+    elif spec.degrade is not None:
+        # The chain picks its upstream once; it stays on the degraded
+        # path for the life of the transfer.
+        ticks = []
+        t = 0.0
+        while result.completion is not None and t <= result.completion:
+            ticks.append((t, "int1"))
+            t += cfg.strategy_interval
+        detail["http_series"] = ticks
+    return records, detail
+
+
+def collect(cfg: ScenarioConfig, results) -> ExperimentOutput:
+    """Join execute's results, given in spec order, into one output."""
     details = {}
-    for rep in _reps(cfg, reps):
-        for plane in _planes(cfg):
-            seed = derive_seed(cfg.base_seed, "C", plane, rep)
-            rec = MetricsRecord("C", plane, size, "switch", rep)
-            if plane == "ndn":
-                world = NdnWorld(cfg, seed, size)
-                n = world.content.segment_count
-                k = math.ceil(cfg.switch_fraction * n)
-                face1 = world.face("csc", "int1")
-                face2 = world.face("csc", "int2")
-                csc = world.nodes["csc"]
-                csc.scripted_chooser = (
-                    lambda interest: face1
-                    if (interest.name.segment() or 0) <= k else face2)
-                res1 = world.fetch(label="first")
-                csc.scripted_chooser = lambda interest: face2
-                res2 = world.fetch(label="second")
-                rec.completion_ms = res1.completion + res2.completion
-                rec.delivered_bytes = res1.delivered_bytes + res2.delivered_bytes
-                rec.success = res1.success and res2.success
-                rec.origin_touches = world.origin_touches
-                rec.cache1_bytes = world.cache_bytes("int1")
-                rec.cache2_bytes = world.cache_bytes("int2")
-                details.setdefault("switch_segment", k)
-            else:
-                world = HttpWorld(cfg, seed, size, lb_policy="round_robin")
-                meta1 = world.fetch()
-                meta2 = world.fetch()
-                rec.completion_ms = meta1.completion + meta2.completion
-                rec.delivered_bytes = (meta1.delivered_bytes
-                                       + meta2.delivered_bytes)
-                rec.success = meta1.success and meta2.success
-                rec.origin_touches = world.origin_touches
-                rec.cache1_bytes = world.cache_bytes("int1")
-                rec.cache2_bytes = world.cache_bytes("int2")
-            records.append(rec)
-    return ExperimentOutput(records, plot_files=_cache_plot(records),
-                            details=details)
-
-
-# --- experiment D: partial retrieval ----------------------------------------
-
-def run_experiment_D(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    size = cfg.file_sizes[0]
+    if cfg.experiment == "C":
+        details = {"switch_segment": switch_segment(cfg)}
+    elif cfg.experiment == "E":
+        details = {"kill_time": cfg.kill_time, "ndn_results": []}
+    elif cfg.experiment == "F":
+        details = {"ndn_series": [], "http_series": []}
     records = []
-    warm_last = math.ceil(cfg.warm_bytes / cfg.chunk_size)
-    for rep in _reps(cfg, reps):
-        for nbytes in cfg.ranges:
-            byte_range = (0, nbytes - 1)
-            for plane in _planes(cfg):
-                if plane == "ndn":
-                    seed = derive_seed(cfg.base_seed, "D", plane, nbytes, rep)
-                    world = NdnWorld(cfg, seed, size)
-                    world.warm("int1", range(1, warm_last + 1))
-                    before = 0
-                    for i in range(cfg.range_repeats):
-                        res = world.fetch(byte_range=byte_range, label=f"r{i}")
-                        touches = world.origin_touches
-                        rec = MetricsRecord("D", plane, nbytes, "ndn-warm",
-                                            rep * cfg.range_repeats + i)
-                        rec.ttfb_ms = res.ttfb
-                        rec.completion_ms = res.completion
-                        rec.delivered_bytes = res.delivered_bytes
-                        rec.success = res.success
-                        rec.origin_touches = touches - before
-                        rec.cache1_bytes = world.cache_bytes("int1")
-                        rec.cache2_bytes = world.cache_bytes("int2")
-                        before = touches
-                        records.append(rec)
-                else:
-                    for range_mode in ("bypass", "full_fetch"):
-                        seed = derive_seed(cfg.base_seed, "D", plane, nbytes,
-                                           range_mode, rep)
-                        world = HttpWorld(cfg, seed, size, range_mode=range_mode)
-                        before = 0
-                        for i in range(cfg.range_repeats):
-                            meta = world.fetch(byte_range=byte_range)
-                            touches = world.origin_touches
-                            rec = MetricsRecord("D", plane, nbytes, range_mode,
-                                                rep * cfg.range_repeats + i)
-                            rec.ttfb_ms = meta.ttfb
-                            rec.completion_ms = meta.completion
-                            rec.delivered_bytes = meta.delivered_bytes
-                            rec.success = meta.success
-                            rec.origin_touches = touches - before
-                            rec.cache1_bytes = world.cache_bytes("int1")
-                            rec.cache2_bytes = world.cache_bytes("int2")
-                            before = touches
-                            records.append(rec)
-    return ExperimentOutput(records, plot_files=_completion_plot("D", records))
-
-
-# --- experiment E: transparent failover -------------------------------------
-
-def run_experiment_E(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    size = cfg.file_sizes[0]
-    window = (cfg.kill_time - 500.0, cfg.kill_time + 1500.0)
-    records = []
-    details = {"ndn_results": [], "kill_time": cfg.kill_time}
-    for rep in _reps(cfg, reps):
-        for plane in _planes(cfg):
-            seed = derive_seed(cfg.base_seed, "E", plane, rep)
-            rec = MetricsRecord("E", plane, size, "failover", rep)
-            if plane == "ndn":
-                world = NdnWorld(cfg, seed, size)
-                world.net.schedule_kill(cfg.kill_time, cfg.kill_node)
-                res = world.fetch()
-                rec.ttfb_ms = res.ttfb
-                rec.completion_ms = res.completion
-                rec.delivered_bytes = res.delivered_bytes
-                rec.success = res.success
-                rec.max_gap_ms = max_gap([t for t, _, _ in res.arrivals],
-                                         window=window)
-                details["ndn_results"].append(res)
-            else:
-                world = HttpWorld(cfg, seed, size, lb_policy="round_robin")
-                world.net.schedule_kill(cfg.kill_time, cfg.kill_node)
-                meta = world.fetch()
-                rec.ttfb_ms = meta.ttfb
-                rec.completion_ms = meta.completion
-                rec.delivered_bytes = meta.delivered_bytes
-                rec.success = meta.success
-                rec.max_gap_ms = max_gap([t for t, _ in meta.arrivals],
-                                         window=window)
-            records.append(rec)
-    return ExperimentOutput(records, plot_files=_completion_plot("E", records),
-                            details=details)
-
-
-# --- experiment F: automatic path switching ---------------------------------
-
-def run_experiment_F(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    size = cfg.file_sizes[0]
-    records = []
-    details = {"ndn_series": [], "http_series": [],
-               "degrade_time": cfg.degrade_time}
-    for rep in _reps(cfg, reps):
-        for plane in _planes(cfg):
-            seed = derive_seed(cfg.base_seed, "F", plane, rep)
-            rec = MetricsRecord("F", plane, size, "degrade", rep)
-            if plane == "ndn":
-                world = NdnWorld(cfg, seed, size,
-                                 strategy="weighted-best-path")
-                world.install_quality_oracle("csc")
-                world.net.schedule_link_change(
-                    cfg.degrade_time, "csc", "int1",
-                    delay=cfg.degrade_delay, loss=cfg.degrade_loss)
-                res = world.fetch()
-                rec.ttfb_ms = res.ttfb
-                rec.completion_ms = res.completion
-                rec.delivered_bytes = res.delivered_bytes
-                rec.success = res.success
-                details["ndn_series"].append(list(world.chosen_series))
-                details.setdefault("ndn_arrivals", []).append(
-                    [(t, b) for t, _, b in res.arrivals])
-            else:
-                world = HttpWorld(cfg, seed, size, lb_policy="single")
-                world.net.schedule_link_change(
-                    cfg.degrade_time, "csc", "int1",
-                    delay=cfg.degrade_delay, loss=cfg.degrade_loss)
-                meta = world.fetch()
-                rec.ttfb_ms = meta.ttfb
-                rec.completion_ms = meta.completion
-                rec.delivered_bytes = meta.delivered_bytes
-                rec.success = meta.success
-                # The chain picks its upstream once; it stays on the
-                # degraded path for the life of the transfer.
-                ticks = []
-                t = 0.0
-                while meta.completion is not None and t <= meta.completion:
-                    ticks.append((t, "int1"))
-                    t += cfg.strategy_interval
-                details["http_series"].append(ticks)
-            records.append(rec)
-    return ExperimentOutput(records, plot_files=_completion_plot("F", records),
-                            details=details)
-
-
-RUNNERS = {
-    "A": run_experiment_A,
-    "B": run_experiment_B,
-    "C": run_experiment_C,
-    "D": run_experiment_D,
-    "E": run_experiment_E,
-    "F": run_experiment_F,
-}
+    for recs, detail in results:
+        records += recs
+        for key, value in detail.items():
+            details[key].append(value)
+    return ExperimentOutput(records, plot_files(cfg, records), details)
 
 
 def run_experiment(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    return RUNNERS[cfg.experiment](cfg, reps=reps)
+    return collect(cfg, [execute(cfg, spec) for spec in run_specs(cfg, reps)])
 
 
-# --- plot-data files --------------------------------------------------------
-
-def _completion_plot(exp: str, records) -> dict:
-    rows, _ = summarize(records)
-    lines = ["# plane mode size_bytes completion_median_ms"]
-    for row in rows:
-        _, plane, size, mode = row[0], row[1], row[2], row[3]
-        median = row[10]
-        if median is not None:
-            lines.append(f"{plane} {mode} {size} {format(median, '.10g')}")
-    return {f"fig_{exp}.dat": "\n".join(lines) + "\n"}
-
-
-def _ttfb_plot(records) -> dict:
-    rows, _ = summarize(records)
-    lines = ["# plane mode size_bytes ttfb_median_ms"]
-    for row in rows:
-        plane, size, mode, median = row[1], row[2], row[3], row[7]
-        if median is not None:
-            lines.append(f"{plane} {mode} {size} {format(median, '.10g')}")
-    return {"fig_B.dat": "\n".join(lines) + "\n"}
-
-
-def _cache_plot(records) -> dict:
-    lines = ["# plane seed cache1_bytes cache2_bytes"]
-    for rec in records:
-        lines.append(f"{rec.plane} {rec.seed} {rec.cache1_bytes} {rec.cache2_bytes}")
-    return {"fig_C.dat": "\n".join(lines) + "\n"}
+def plot_files(cfg: ScenarioConfig, records) -> dict:
+    """fig_<X>.dat from records in spec order: C lists each run's cache
+    bytes, B the median TTFB per group, the others the median completion
+    time per group."""
+    if cfg.experiment == "C":
+        lines = ["# plane seed cache1_bytes cache2_bytes"]
+        lines += [f"{r.plane} {r.seed} {r.cache1_bytes} {r.cache2_bytes}"
+                  for r in records]
+    else:
+        metric, col = ("ttfb", 7) if cfg.experiment == "B" else ("completion", 10)
+        rows, _ = summarize(records)
+        lines = [f"# plane mode size_bytes {metric}_median_ms"]
+        lines += [f"{row[1]} {row[3]} {row[2]} {format(row[col], '.10g')}"
+                  for row in rows if row[col] is not None]
+    return {f"fig_{cfg.experiment}.dat": "\n".join(lines) + "\n"}

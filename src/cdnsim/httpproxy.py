@@ -5,16 +5,17 @@ Responses move store-and-forward at file granularity: a proxy downloads
 the complete body from its upstream, caches it when allowed, and only
 then serves the requester.  Inter-proxy connections are persistent and
 already established when a scenario starts, so exactly one handshake
-(the client's) is paid per transfer.  Caching is file-granular: only a
-complete entry can answer a request.
+(the client's) is paid per transfer.  Caching is file-granular: a proxy
+stores only complete bodies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cache import LruBytes
+from .metrics import Fetch
 from .network import Network, Node
 from .tcp import (DEFAULT_MSS, RTO_MIN_MS, TcpTransfer, preestablished,
                   tcp_open)
@@ -58,17 +59,6 @@ class HttpRequest:
 class HttpCacheEntry:
     url: str
     stored_bytes: int
-    complete: bool = True
-
-
-@dataclass
-class ResponseMeta:
-    success: bool = False
-    reason: str = ""
-    ttfb: Optional[float] = None
-    completion: Optional[float] = None
-    delivered_bytes: int = 0
-    arrivals: list = field(default_factory=list)
 
 
 class HttpNode(Node):
@@ -133,9 +123,9 @@ class HttpPlane:
 
     def get(self, client: str, first_proxy: str, request: HttpRequest,
             on_done):
-        """Issue a client GET; on_done receives a ResponseMeta."""
+        """Issue a client GET; on_done receives a Fetch."""
         sim = self.net.sim
-        meta = ResponseMeta()
+        fetch = Fetch()
         t0 = sim.now
         state = {"done": False}
 
@@ -143,26 +133,26 @@ class HttpPlane:
             if state["done"]:
                 return
             state["done"] = True
-            meta.success = success
-            meta.reason = reason
-            meta.completion = sim.now - t0
+            fetch.success = success
+            fetch.reason = reason
+            fetch.completion = sim.now - t0
             if not success:
                 self.net.nodes[client].count("failed_transfers")
-            on_done(meta)
+            on_done(fetch)
 
         if request.byte_range is not None:
             start, end = request.byte_range
             if start < 0 or start > end:
                 sim.after(0.0, finish, False, "invalid-range")
-                return meta
+                return fetch
 
         def first_byte(t):
-            meta.ttfb = t - t0
+            fetch.ttfb = t - t0
 
         def body_done(ok: bool, result, reason: str):
             if result is not None:
-                meta.delivered_bytes = result.delivered_bytes
-                meta.arrivals = result.arrivals
+                fetch.delivered_bytes = result.delivered_bytes
+                fetch.arrivals = result.arrivals
             finish(ok, reason)
 
         def opened(conn):
@@ -174,7 +164,7 @@ class HttpPlane:
                       conn, first_byte, body_done)
 
         tcp_open(self.net, client, first_proxy, opened, mss=self.mss)
-        return meta
+        return fetch
 
     # --- node-side request handling ----------------------------------------
 
@@ -223,7 +213,7 @@ class HttpPlane:
     def _serve_full(self, node, request, respond, respond_error):
         if node.cache is not None:
             entry = node.cache.get(request.url)
-            if entry is not None and entry.complete:
+            if entry is not None:
                 node.count("cache_hits")
                 respond(entry.stored_bytes)
                 return
@@ -257,10 +247,10 @@ class HttpPlane:
             self._fetch_upstream(node, request, got_body)
             return
 
-        # full_fetch: a complete cached copy answers any range; otherwise
+        # full_fetch: a cached copy answers any range; otherwise
         # ingest the whole file first, then serve the range.
         entry = node.cache.get(request.url) if node.cache is not None else None
-        if entry is not None and entry.complete:
+        if entry is not None:
             node.count("cache_hits")
             respond(request.range_bytes)
             return

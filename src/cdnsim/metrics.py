@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 CSV_COLUMNS = [
@@ -18,6 +18,26 @@ SUMMARY_COLUMNS = [
     "completion_mean", "completion_median", "completion_std",
     "goodput_mean", "goodput_median", "goodput_std",
 ]
+
+
+@dataclass
+class Fetch:
+    """What one client fetch delivered, on either plane.
+
+    `arrivals` lists (time, payload bytes) as data reached the client.
+    The counters and per-segment times below it belong to the NDN
+    consumer; an HTTP fetch leaves them at zero and empty.
+    """
+    success: bool = False
+    reason: str = ""
+    ttfb: Optional[float] = None
+    completion: Optional[float] = None
+    delivered_bytes: int = 0
+    arrivals: list = field(default_factory=list)
+    interests_sent: int = 0
+    retransmissions: int = 0
+    satisfied_time: dict = field(default_factory=dict)   # segment -> time
+    last_send_time: dict = field(default_factory=dict)   # segment -> time
 
 
 @dataclass

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cache import ContentStore
 from .content import ContentObject, Data, Interest, DEFAULT_INTEREST_LIFETIME_MS
+from .metrics import Fetch
 from .names import Name, longest_prefix_match
 from .network import Node
 from .sim import make_rng
@@ -36,10 +37,6 @@ DEFAULT_WINDOW = 64
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_RTO_MIN_MS = 200.0
 DEFAULT_INITIAL_RTO_MS = 1000.0
-FAILOVER_THRESHOLD = 3
-REPROBE_DELAY_MS = 1000.0
-MEASURED_EWMA_ALPHA = 0.1
-MEASURED_LOSS_WINDOW = 100
 
 
 def compute_path_weight(delay_ms: float, loss_percent: float) -> int:
@@ -108,29 +105,23 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
 
 
 class PitEntry:
-    __slots__ = ("name", "in_records", "nonces", "out_faces", "out_face_last",
-                 "forward_time", "expiry", "retransmitted")
+    __slots__ = ("name", "in_records", "nonces", "out_face_last", "expiry")
 
     def __init__(self, name: Name, expiry: float):
         self.name = name
         self.in_records: dict[int, set] = {}
         self.nonces: set = set()
-        self.out_faces: set = set()
         self.out_face_last: Optional[int] = None
-        self.forward_time = 0.0
         self.expiry = expiry
-        self.retransmitted = False
 
 
 class NdnNode(Node):
     def __init__(self, name: str, *, cs_capacity: int = 0,
                  strategy: str = BEST_ROUTE,
-                 quality_mode: str = "oracle",
                  pit_lifetime: float = DEFAULT_PIT_LIFETIME_MS):
         super().__init__(name)
         self.cs = ContentStore(cs_capacity) if cs_capacity > 0 else None
         self.strategy = strategy
-        self.quality_mode = quality_mode
         self.pit_lifetime = pit_lifetime
         self.fib: dict[tuple, FibEntry] = {}
         self.pit: dict[Name, PitEntry] = {}
@@ -143,8 +134,6 @@ class NdnNode(Node):
         # source switching); returns a face id or None to fall through.
         self.scripted_chooser: Optional[Callable[[Interest], Optional[int]]] = None
         self.app_deliver: Optional[Callable[[Data], None]] = None
-        self._face_timeouts: dict[int, int] = {}
-        self._loss_window: dict[int, deque] = {}
 
     # --- wiring -------------------------------------------------------------
 
@@ -218,9 +207,6 @@ class NdnNode(Node):
                 # Retransmission: downstream timed out, so push it upstream
                 # again through the strategy.
                 entry.in_records[in_face].add(interest.nonce)
-                entry.retransmitted = True
-                if entry.out_face_last is not None:
-                    self._record_face_timeout(entry.out_face_last)
                 return self._forward(interest, entry, in_face)
             entry.in_records[in_face] = {interest.nonce}
             self.count("pit_aggregated")
@@ -240,9 +226,7 @@ class NdnNode(Node):
         if face_id is None:
             self.count("no_route_drops")
             return []
-        entry.out_faces.add(face_id)
         entry.out_face_last = face_id
-        entry.forward_time = self.sim.now
         entry.expiry = max(entry.expiry,
                            self.sim.now + min(interest.lifetime, self.pit_lifetime))
         return [(face_id, interest)]
@@ -279,12 +263,11 @@ class NdnNode(Node):
             return []
         if self.cs is not None:
             self.cs.insert(data)
-        self._record_face_success(in_face, entry)
         emissions = [(face_id, data) for face_id in entry.in_records]
         del self.pit[data.name]
         return emissions
 
-    # --- face liveness and measured quality ---------------------------------
+    # --- face liveness ------------------------------------------------------
 
     def mark_face_dead(self, face_id: int):
         """Oracle notification that the neighbor on this face failed.
@@ -303,62 +286,9 @@ class NdnNode(Node):
                 interest = Interest(entry.name, nonce=0, lifetime=self.pit_lifetime)
                 alt = self._choose_face(interest, exclude=set(entry.in_records))
                 if alt is not None and alt != face_id:
-                    entry.out_faces.add(alt)
                     entry.out_face_last = alt
-                    entry.forward_time = now
                     self.count("failover_reforwards")
                     self._send(alt, interest)
-
-    def mark_face_alive(self, face_id: int):
-        self.qualities[face_id].alive = True
-        self._face_timeouts[face_id] = 0
-
-    def _record_face_timeout(self, face_id: int):
-        if self.quality_mode != "measured":
-            return
-        window = self._loss_window.setdefault(face_id, deque(maxlen=MEASURED_LOSS_WINDOW))
-        window.append(1)
-        self._update_loss_estimate(face_id)
-        n = self._face_timeouts.get(face_id, 0) + 1
-        self._face_timeouts[face_id] = n
-        if n >= FAILOVER_THRESHOLD and self.qualities[face_id].alive:
-            self.qualities[face_id].alive = False
-            self.sim.after(REPROBE_DELAY_MS, self.mark_face_alive, face_id)
-
-    def _record_face_success(self, face_id: int, entry: PitEntry):
-        self._face_timeouts[face_id] = 0
-        if self.quality_mode != "measured":
-            return
-        window = self._loss_window.setdefault(face_id, deque(maxlen=MEASURED_LOSS_WINDOW))
-        window.append(0)
-        self._update_loss_estimate(face_id)
-        if not entry.retransmitted and entry.out_face_last == face_id:
-            rtt = self.sim.now - entry.forward_time
-            q = self.qualities[face_id]
-            one_way = rtt / 2.0
-            if q.delay_estimate == 0.0:
-                q.delay_estimate = one_way
-            else:
-                q.delay_estimate = ((1 - MEASURED_EWMA_ALPHA) * q.delay_estimate
-                                    + MEASURED_EWMA_ALPHA * one_way)
-
-    def _update_loss_estimate(self, face_id: int):
-        window = self._loss_window[face_id]
-        self.qualities[face_id].loss_estimate = 100.0 * sum(window) / len(window)
-
-
-@dataclass
-class RetrievalResult:
-    success: bool = False
-    reason: str = ""
-    ttfb: Optional[float] = None
-    completion: Optional[float] = None
-    delivered_bytes: int = 0
-    interests_sent: int = 0
-    retransmissions: int = 0
-    arrivals: list = field(default_factory=list)   # (time, segment, payload bytes)
-    satisfied_time: dict = field(default_factory=dict)
-    last_send_time: dict = field(default_factory=dict)
 
 
 class ConsumerPipeline:
@@ -392,7 +322,7 @@ class ConsumerPipeline:
         self.lifetime = lifetime
         self.rng = make_rng(seed, "pipeline", node.name, str(prefix))
         self.on_done = on_done
-        self.result = RetrievalResult()
+        self.result = Fetch()
         self.srtt: Optional[float] = None
         self.total_segments: Optional[int] = None
         self.done = False
@@ -456,7 +386,7 @@ class ConsumerPipeline:
             return  # duplicate or stale
         now = self.sim.now
         self.result.satisfied_time[seg] = now
-        self.result.arrivals.append((now, seg, data.payload_size))
+        self.result.arrivals.append((now, data.payload_size))
         self.result.delivered_bytes += data.payload_size
         if self.result.ttfb is None:
             self.result.ttfb = now - self._t0

@@ -187,6 +187,10 @@ class ScenarioConfig:
         if self.experiment == "D" and self.warm_bytes > self.file_sizes[0]:
             # D warms int1 with the first warm_bytes of file_sizes[0].
             raise ConfigError("warm_bytes: must not exceed file_sizes[0]")
+        if self.experiment == "D" and any(r > self.file_sizes[0]
+                                          for r in self.ranges):
+            # D requests bytes 0..r-1 of file_sizes[0] for each range r.
+            raise ConfigError("ranges: must not exceed file_sizes[0]")
         if not 0.0 <= self.switch_fraction <= 1.0:
             raise ConfigError("switch_fraction: must be in [0, 1]")
         if self.range_mode not in ("bypass", "full_fetch"):

@@ -36,8 +36,6 @@ class TcpConnection:
     ssthresh: float = INITIAL_SSTHRESH
     mss: int = DEFAULT_MSS
     srtt: float = 0.0
-    outstanding: int = 0
-    dup_ack_count: int = 0
 
 
 def tcp_open(net: Network, client: str, server: str, on_done,
@@ -176,7 +174,6 @@ class TcpTransfer:
                 delivered.append(seg)
             else:
                 lost.append(seg)
-        conn.outstanding = len(batch)
         arrival_time = t + delay
         if delivered:
             self.sim.at(arrival_time, self._arrive, delivered)
@@ -201,7 +198,6 @@ class TcpTransfer:
         if self._received_count == self.total_segments:
             self.done = True
             self.conn.state = "closed"
-            self.conn.outstanding = 0
             self.result.success = True
             self.result.completion_time = now
             if self.on_done is not None:
@@ -221,7 +217,6 @@ class TcpTransfer:
             sample = self.sim.now - send_time
             conn.srtt = 0.875 * conn.srtt + 0.125 * sample if conn.srtt else sample
         if not lost:
-            conn.dup_ack_count = 0
             self._consecutive_rto = 0
             if conn.cwnd < conn.ssthresh:
                 conn.cwnd = min(conn.cwnd * 2.0, conn.ssthresh)
@@ -232,7 +227,6 @@ class TcpTransfer:
             self._round()
             return
         dupacks = sum(1 for seg in delivered if seg > lost[0])
-        conn.dup_ack_count = dupacks
         if dupacks >= 3:
             conn.ssthresh = max(conn.cwnd / 2.0, 1.0)
             conn.cwnd = conn.ssthresh

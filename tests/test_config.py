@@ -158,6 +158,8 @@ REFUSED = {
     "warm_bytes": {"experiment": "D", "file_sizes": ["1MB"],
                    "warm_bytes": "2MB"},
     "range_repeats": {"experiment": "D", "range_repeats": 0},
+    "ranges": {"experiment": "D", "file_sizes": ["2MB"],
+               "ranges": ["1MB", "3MB"], "warm_bytes": "1MB"},
     "pit_lifetime": {"experiment": "A", "pit_lifetime": 0},
     "max_retries": {"experiment": "A", "max_retries": -1},
     "random_topologies": {"experiment": "B", "random_topologies": -1},

@@ -58,7 +58,7 @@ def test_window_one_serializes_rounds():
     assert res.success
     assert res.completion == 400.0
     assert res.delivered_bytes == 88000
-    assert [seg for _, seg, _ in res.arrivals] == list(range(1, 11))
+    assert list(res.satisfied_time) == list(range(1, 11))
 
 
 def test_wide_window_pipelines_after_discovery():
@@ -84,7 +84,7 @@ def test_byte_range_maps_to_segments():
     sim, net, client, router, producer, content = line_world(total=88000)
     res = fetch(sim, client, content, byte_range=(8800, 26399))
     assert res.success
-    assert sorted(seg for _, seg, _ in res.arrivals) == [2, 3]
+    assert sorted(res.satisfied_time) == [2, 3]
     assert res.delivered_bytes == 2 * 8800
 
 

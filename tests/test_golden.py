@@ -75,19 +75,38 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_outputs(tmp_path, config_name) -> dict:
+def run_files(tmp_path, config_name, overrides, jobs=1) -> dict:
     raw = json.loads((CONFIGS / config_name).read_text())
-    raw.update(REDUCED[config_name])
+    raw.update(overrides)
     cfg_path = tmp_path / config_name
     cfg_path.write_text(json.dumps(raw))
-    out_dir = tmp_path / "out"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+    out_dir = tmp_path / f"out-jobs{jobs}"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out_dir),
+                 "--jobs", str(jobs)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("config_name", sorted(REDUCED))
-def test_run_outputs_match_golden(tmp_path, config_name):
-    assert run_outputs(tmp_path, config_name) == GOLDEN[config_name]
+def run_outputs(tmp_path, config_name, jobs=1) -> dict:
+    files = run_files(tmp_path, config_name, REDUCED[config_name], jobs)
+    return {name: sha256(data) for name, data in files.items()}
+
+
+# The serial run keeps the plain config name as its test id.
+@pytest.mark.parametrize("config_name, jobs", [
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+    for name in sorted(REDUCED) for jobs in (1, 2)])
+def test_run_outputs_match_golden(tmp_path, config_name, jobs):
+    assert run_outputs(tmp_path, config_name, jobs) == GOLDEN[config_name]
+
+
+def test_parallel_run_writes_the_serial_files(tmp_path):
+    # C's plot file lists runs in order, so a pool that returned runs out
+    # of order would change it.
+    overrides = {"file_sizes": ["1MB"], "repetitions": 2}
+    serial = run_files(tmp_path, "experiment_c.json", overrides, jobs=1)
+    parallel = run_files(tmp_path, "experiment_c.json", overrides, jobs=2)
+    assert list(serial) == ["fig_C.dat", "records.csv", "summary.csv"]
+    assert parallel == serial
 
 
 def test_ndn_trace_matches_golden(tmp_path):
