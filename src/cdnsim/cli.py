@@ -20,8 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from .experiments import (ExperimentOutput, NdnWorld, collect, execute,
                           plot_files, run_specs)
 from .metrics import records_to_csv, summarize, summary_to_csv
-from .scenarios import (EXPERIMENT_SUMMARIES, ConfigError, ScenarioConfig,
-                        config_from_dict, load_config)
+from .scenarios import (EXPERIMENT_SUMMARIES, EXPERIMENTS, PLANES,
+                        ConfigError, ScenarioConfig, config_from_dict,
+                        load_config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,12 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment")
     run.add_argument("--config", help="JSON config file")
-    run.add_argument("--experiment", choices=list("ABCDEF"),
+    run.add_argument("--experiment", choices=EXPERIMENTS,
                      help="experiment to run (overrides the config)")
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--seed", type=int, help="override the base seed")
     run.add_argument("--reps", type=int, help="override repetitions")
-    run.add_argument("--plane", choices=["ndn", "http", "both"],
+    run.add_argument("--plane", choices=PLANES,
                      help="override which plane(s) to run")
     run.add_argument("--jobs", type=int, default=1,
                      help="run the experiment's runs in parallel processes")
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="run one scenario with event tracing")
     trace.add_argument("--config", help="JSON config file")
-    trace.add_argument("--experiment", choices=list("ABCDEF"))
+    trace.add_argument("--experiment", choices=EXPERIMENTS)
     trace.add_argument("--seed", type=int)
     trace.add_argument("--size", type=int, help="file size in bytes")
     trace.add_argument("--out", help="write the trace here instead of stdout")

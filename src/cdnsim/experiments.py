@@ -34,13 +34,11 @@ from .metrics import Fetch, MetricsRecord, max_gap, summarize
 from .names import Name, longest_prefix_match
 from .ndn import ConsumerPipeline, NdnNode, strategy_select
 from .network import Network
-from .scenarios import ScenarioConfig, TopologyConfig
+from .scenarios import NODES, ScenarioConfig, TopologyConfig
 from .sim import Simulator, derive_seed, make_rng
 
 CONTENT_PREFIX = Name(("data_file",))
 CONTENT_URL = "/data_file"
-
-NODES = ("client", "csc", "int1", "int2", "origin")
 
 
 @dataclass

@@ -7,6 +7,14 @@ then serves the requester.  Inter-proxy connections are persistent and
 already established when a scenario starts, so exactly one handshake
 (the client's) is paid per transfer.  Caching is file-granular: a proxy
 stores only complete bodies.
+
+The client's GET and every proxy's upstream fetch take one request path,
+`HttpPlane._request`, and every node answers in `HttpPlane._serve`.  The
+requester watches the node it asked.  A fail-stop node sends no RST, so
+the requester notices its death `tcp.dead_peer_delay` later (three
+initial RTOs over their link: 600 ms on a 50 ms access link) and fails
+the request as `upstream-died`.  A node that dies while sending a reply
+is noticed sooner by the transfer itself ("sender died").
 """
 
 from __future__ import annotations
@@ -17,10 +25,8 @@ from typing import Optional
 from .cache import LruBytes
 from .metrics import Fetch
 from .network import Network, Node
-from .tcp import (DEFAULT_MSS, RTO_MIN_MS, TcpTransfer, preestablished,
+from .tcp import (DEFAULT_MSS, TcpTransfer, dead_peer_delay, preestablished,
                   tcp_open)
-
-DEAD_DETECT_RTOS = 3
 
 
 @dataclass
@@ -55,12 +61,6 @@ class HttpRequest:
         return end - start + 1
 
 
-@dataclass
-class HttpCacheEntry:
-    url: str
-    stored_bytes: int
-
-
 class HttpNode(Node):
     def __init__(self, name: str, *, cache_capacity: int = 0,
                  proxy: Optional[ProxyConfig] = None):
@@ -76,7 +76,7 @@ class HttpNode(Node):
     def warm_cache(self, url: str, size: int):
         if self.cache is None:
             raise ValueError(f"{self.name} has no cache to warm")
-        self.cache.put(url, HttpCacheEntry(url, size), size)
+        self.cache.put(url, size, size)
 
     def pick_upstream(self) -> str:
         ups = self.proxy.upstreams
@@ -99,25 +99,19 @@ class HttpPlane:
         self._waits: dict[str, list] = {}
         net.kill_hooks.append(self._on_kill)
 
-    # --- upstream-death bookkeeping ----------------------------------------
+    # --- peer-death bookkeeping ---------------------------------------------
 
-    def _wait_on(self, upstream: str, fail_cb):
-        self._waits.setdefault(upstream, []).append(fail_cb)
+    def _wait_on(self, peer: str, fail_cb):
+        self._waits.setdefault(peer, []).append(fail_cb)
 
-    def _unwait(self, upstream: str, fail_cb):
-        callbacks = self._waits.get(upstream)
+    def _unwait(self, peer: str, fail_cb):
+        callbacks = self._waits.get(peer)
         if callbacks and fail_cb in callbacks:
             callbacks.remove(fail_cb)
 
     def _on_kill(self, name: str):
         for cb in self._waits.pop(name, []):
             cb()
-
-    def _detect_delay(self, a: str, b: str) -> float:
-        # A fail-stop peer emits no RST; the other side gives up after a
-        # few retransmission timeouts.
-        rto = max(4.0 * self.net.link_between(a, b).delay, RTO_MIN_MS)
-        return DEAD_DETECT_RTOS * rto
 
     # --- client entry point -------------------------------------------------
 
@@ -127,15 +121,14 @@ class HttpPlane:
         sim = self.net.sim
         fetch = Fetch()
         t0 = sim.now
-        state = {"done": False}
 
-        def finish(success: bool, reason: str = ""):
-            if state["done"]:
-                return
-            state["done"] = True
+        def finish(success: bool, result, reason: str):
             fetch.success = success
             fetch.reason = reason
             fetch.completion = sim.now - t0
+            if result is not None:
+                fetch.delivered_bytes = result.delivered_bytes
+                fetch.arrivals = result.arrivals
             if not success:
                 self.net.nodes[client].count("failed_transfers")
             on_done(fetch)
@@ -143,180 +136,130 @@ class HttpPlane:
         if request.byte_range is not None:
             start, end = request.byte_range
             if start < 0 or start > end:
-                sim.after(0.0, finish, False, "invalid-range")
+                sim.after(0.0, finish, False, None, "invalid-range")
                 return fetch
 
         def first_byte(t):
             fetch.ttfb = t - t0
 
-        def body_done(ok: bool, result, reason: str):
-            if result is not None:
-                fetch.delivered_bytes = result.delivered_bytes
-                fetch.arrivals = result.arrivals
-            finish(ok, reason)
-
         def opened(conn):
             if conn is None:
-                finish(False, "connection-refused")
-                return
-            link = self.net.link_between(client, first_proxy)
-            sim.after(link.delay, self._serve, first_proxy, request, client,
-                      conn, first_byte, body_done)
+                finish(False, None, "connection-refused")
+            else:
+                self._request(client, first_proxy, request, conn, first_byte,
+                              finish)
 
         tcp_open(self.net, client, first_proxy, opened, mss=self.mss)
         return fetch
 
-    # --- node-side request handling ----------------------------------------
+    # --- one request path, one serve path ------------------------------------
 
-    def _serve(self, node_name: str, request: HttpRequest, requester: str,
-               down_conn, first_byte_cb, cb):
+    def _request(self, src: str, dst: str, request: HttpRequest, conn,
+                 first_byte_cb, on_done):
+        """Send `request` from src to dst over `conn`; dst serves it one
+        link delay later.  on_done(ok, result, reason) runs exactly once:
+        when the reply ends, or `dead_peer_delay` after dst dies."""
+        sim = self.net.sim
+        settled = []
+
+        def settle(ok: bool, result, reason: str):
+            if not settled:
+                settled.append(True)
+                self._unwait(dst, on_dead)
+                on_done(ok, result, reason)
+
+        def on_dead():
+            sim.after(dead_peer_delay(conn.link), settle, False, None,
+                      "upstream-died")
+
+        if self.net.nodes[dst].alive:
+            self._wait_on(dst, on_dead)
+        else:  # died after answering the client's SYN
+            on_dead()
+        sim.after(conn.link.delay, self._serve, dst, request, conn,
+                  first_byte_cb, settle)
+
+    def _serve(self, node_name: str, request: HttpRequest, down_conn,
+               first_byte_cb, cb):
+        """Answer `request` at node_name: from the origin's store, from the
+        cache, or from a body fetched upstream.  A range request passes
+        through a forward or bypass proxy untouched; any other proxy
+        fetches, and may cache, the whole file and replies with the range."""
         node = self.net.nodes[node_name]
         if not node.alive:
             return
+        byte_range = request.byte_range
 
-        def respond(nbytes: int):
-            transfer = TcpTransfer(
-                self.net, down_conn, node_name, nbytes,
-                on_first_byte=first_byte_cb,
-                on_done=lambda res: cb(res.success, res,
-                                       "" if res.success else res.reason))
-            transfer.start()
+        def reply(size: int):
+            nbytes = size if byte_range is None else request.range_bytes
+            TcpTransfer(self.net, down_conn, node_name, nbytes,
+                        on_first_byte=first_byte_cb,
+                        on_done=lambda res: cb(res.success, res, res.reason)
+                        ).start()
 
-        def respond_error(reason: str):
+        def error(reason: str):
             # Small error reply; one link delay back to the requester.
-            link = self.net.link_between(node_name, requester)
-            self.net.sim.after(link.delay, cb, False, None, reason)
+            self.net.sim.after(down_conn.link.delay, cb, False, None, reason)
 
-        # Origin: serve from the authoritative store.
-        if node.origin_store:
+        if node.proxy is None:  # the origin answers from its store
             size = node.origin_store.get(request.url)
             if size is None:
-                respond_error("not-found")
-                return
-            if request.byte_range is not None:
-                start, end = request.byte_range
-                if end >= size:
-                    respond_error("invalid-range")
-                    return
+                error("not-found")
+            elif byte_range is not None and byte_range[1] >= size:
+                error("invalid-range")
+            else:
                 node.count("origin_touches")
-                respond(request.range_bytes)
-                return
-            node.count("origin_touches")
-            respond(size)
+                reply(size)
             return
 
-        if request.byte_range is not None:
-            self._serve_range(node, request, respond, respond_error)
-        else:
-            self._serve_full(node, request, respond, respond_error)
-
-    def _serve_full(self, node, request, respond, respond_error):
-        if node.cache is not None:
-            entry = node.cache.get(request.url)
-            if entry is not None:
+        passthrough = byte_range is not None and (
+            node.proxy.role == "forward" or node.proxy.range_mode == "bypass")
+        cache = None if passthrough else node.cache
+        if cache is not None:
+            size = cache.get(request.url)
+            if size is not None:
                 node.count("cache_hits")
-                respond(entry.stored_bytes)
+                reply(size)
                 return
             node.count("cache_misses")
 
-        def got_body(ok, nbytes, reason):
+        def got_body(ok: bool, result, reason: str):
             if not node.alive:
                 return
             if not ok:
-                respond_error(reason)
+                error(reason)
                 return
-            if node.cache is not None and request.cacheable:
-                node.cache.put(request.url, HttpCacheEntry(request.url, nbytes),
-                               nbytes)
-                node.count("bytes_cached", nbytes)
-            respond(nbytes)
+            size = result.delivered_bytes
+            if cache is not None and request.cacheable:
+                cache.put(request.url, size, size)
+                node.count("bytes_cached", size)
+            reply(size)
 
-        self._fetch_upstream(node, request, got_body)
+        upstream_request = request if passthrough else HttpRequest(
+            request.url, cacheable=request.cacheable)
+        self._fetch_upstream(node, upstream_request, got_body)
 
-    def _serve_range(self, node, request, respond, respond_error):
-        mode = node.proxy.range_mode
-        if node.proxy.role == "forward" or mode == "bypass":
-            # Pass the range through untouched; nothing is cached.
-            def got_body(ok, nbytes, reason):
-                if not node.alive:
-                    return
-                if ok:
-                    respond(nbytes)
-                else:
-                    respond_error(reason)
-            self._fetch_upstream(node, request, got_body)
-            return
+    def _fetch_upstream(self, node, request, on_done, attempt: int = 0):
+        """Forward a request upstream; on_done(ok, result, reason).
 
-        # full_fetch: a cached copy answers any range; otherwise
-        # ingest the whole file first, then serve the range.
-        entry = node.cache.get(request.url) if node.cache is not None else None
-        if entry is not None:
-            node.count("cache_hits")
-            respond(request.range_bytes)
-            return
-        if node.cache is not None:
-            node.count("cache_misses")
-        full_request = HttpRequest(request.url, byte_range=None,
-                                   cacheable=request.cacheable)
-
-        def got_full(ok, nbytes, reason):
-            if not node.alive:
-                return
-            if not ok:
-                respond_error(reason)
-                return
-            if node.cache is not None and request.cacheable:
-                node.cache.put(request.url, HttpCacheEntry(request.url, nbytes),
-                               nbytes)
-                node.count("bytes_cached", nbytes)
-            respond(request.range_bytes)
-
-        self._fetch_upstream(node, full_request, got_full)
-
-    def _fetch_upstream(self, node, request, got_body, attempt: int = 0):
-        """Forward a request upstream; got_body(ok, nbytes, reason).
-
-        A connection refused before any byte arrived is retried once on
-        the next upstream; any later failure is final.
+        A failure before any byte arrived is retried once on the next
+        upstream; any later failure is final.
         """
-        sim = self.net.sim
         upstream = node.pick_upstream()
-        link = self.net.link_between(node.name, upstream)
-        state = {"settled": False, "got_byte": False}
+        conn = preestablished(self.net, node.name, upstream, mss=self.mss)
+        got_byte = []
 
-        def settle(ok, nbytes, reason):
-            if state["settled"]:
-                return
-            state["settled"] = True
-            self._unwait(upstream, on_upstream_dead)
-            if not ok and not state["got_byte"] and attempt == 0 \
+        def settle(ok: bool, result, reason: str):
+            if not ok and not got_byte and attempt == 0 \
                     and len(node.proxy.upstreams) > 1:
-                self._fetch_upstream(node, request, got_body, attempt=1)
-                return
-            got_body(ok, nbytes, reason)
-
-        def on_upstream_dead():
-            sim.after(self._detect_delay(node.name, upstream),
-                      settle, False, 0, "upstream-died")
-
-        self._wait_on(upstream, on_upstream_dead)
+                self._fetch_upstream(node, request, on_done, attempt=1)
+            else:
+                on_done(ok, result, reason)
 
         if not self.net.nodes[upstream].alive:
-            sim.after(self._detect_delay(node.name, upstream),
-                      settle, False, 0, "connection-refused")
+            self.net.sim.after(dead_peer_delay(conn.link), settle, False, None,
+                               "connection-refused")
             return
-
-        conn = preestablished(self.net, node.name, upstream, mss=self.mss)
-
-        def first_byte(_t):
-            state["got_byte"] = True
-
-        def transfer_done(ok, result, reason):
-            settle(ok, result.delivered_bytes if result else 0, reason)
-
-        def at_upstream():
-            self.net.nodes[upstream].count("requests_upstream")
-            self._serve(upstream, request, node.name, conn, first_byte,
-                        transfer_done)
-
-        sim.after(link.delay, at_upstream)
+        self.net.nodes[upstream].count("requests_upstream")
+        self._request(node.name, upstream, request, conn, got_byte.append,
+                      settle)

@@ -18,6 +18,7 @@ GB = 1 << 30
 
 EXPERIMENTS = ("A", "B", "C", "D", "E", "F")
 PLANES = ("ndn", "http", "both")
+NODES = ("client", "csc", "int1", "int2", "origin")
 
 EXPERIMENT_SUMMARIES = {
     "A": "content retrieval goodput with and without link loss; loss favors "
@@ -184,6 +185,9 @@ class ScenarioConfig:
             raise ConfigError("file_sizes: must be non-empty and positive")
         if any(r <= 0 for r in self.ranges):
             raise ConfigError("ranges: must be positive")
+        if self.experiment == "D" and not self.ranges:
+            # D makes one run per range; none would write empty output.
+            raise ConfigError("ranges: must not be empty")
         if self.experiment == "D" and self.warm_bytes > self.file_sizes[0]:
             # D warms int1 with the first warm_bytes of file_sizes[0].
             raise ConfigError("warm_bytes: must not exceed file_sizes[0]")
@@ -197,11 +201,10 @@ class ScenarioConfig:
             raise ConfigError("range_mode: must be bypass or full_fetch")
         if self.strategy not in ("best-route-failover", "weighted-best-path"):
             raise ConfigError("strategy: unknown strategy name")
-        known_nodes = {"client", "csc", "int1", "int2", "origin"}
         for n in self.cache_nodes:
-            if n not in known_nodes:
+            if n not in NODES:
                 raise ConfigError(f"cache_nodes: unknown node {n!r}")
-        if self.kill_node not in known_nodes:
+        if self.kill_node not in NODES:
             raise ConfigError(f"kill_node: unknown node {self.kill_node!r}")
         return self
 

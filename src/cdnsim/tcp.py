@@ -25,6 +25,16 @@ SYN_RETRY_BUDGET = 3
 DEAD_PEER_RTO_LIMIT = 3
 
 
+def retransmit_timeout(srtt: float) -> float:
+    return max(2.0 * srtt, RTO_MIN_MS)
+
+
+def dead_peer_delay(link) -> float:
+    """How long a sender takes to give up on a fail-stop peer (no RST)
+    over `link`: DEAD_PEER_RTO_LIMIT timeouts at the link's base RTT."""
+    return DEAD_PEER_RTO_LIMIT * retransmit_timeout(2.0 * link.delay)
+
+
 @dataclass
 class TcpConnection:
     client: str
@@ -128,10 +138,6 @@ class TcpTransfer:
     @property
     def sim(self):
         return self.net.sim
-
-    @property
-    def rto(self) -> float:
-        return max(2.0 * self.conn.srtt, RTO_MIN_MS)
 
     def _segment_bytes(self, seg: int) -> int:
         if seg < self.total_segments:
@@ -244,5 +250,5 @@ class TcpTransfer:
                 return
         else:
             self._consecutive_rto = 0
-        resume = max(self.sim.now, send_time + self.rto)
+        resume = max(self.sim.now, send_time + retransmit_timeout(self.conn.srtt))
         self.sim.at(resume, self._round)

@@ -74,6 +74,18 @@ def test_run_overrides_reps_seed_and_plane(tmp_path):
     assert all(line.split(",")[1] == "ndn" for line in lines[1:])
 
 
+@pytest.mark.parametrize("node", ["client", "csc", "int1", "int2", "origin"])
+def test_run_e_completes_whatever_node_dies(tmp_path, capsys, node):
+    cfg = write_config(tmp_path, {"experiment": "E", "plane": "both",
+                                  "file_sizes": ["1MB"], "repetitions": 1,
+                                  "kill_node": node, "kill_time": "120ms"})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == 0
+    lines = (out_dir / "records.csv").read_text().splitlines()
+    assert sorted(line.split(",")[1] for line in lines[1:]) == ["http", "ndn"]
+    assert "2 runs" in capsys.readouterr().out
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "A", "file_sizes": ["1MB"],
                                   "repetitions": 2, "lossy_access": "1%"})

@@ -152,7 +152,7 @@ def test_load_config_round_trip(tmp_path):
 
 
 # Configs that used to pass validation and then hung, crashed or wrote
-# empty output; each must now be refused by the named field.
+# empty output; each must now be refused by the field its id names.
 REFUSED = {
     "strategy_interval": {"experiment": "F", "strategy_interval": 0},
     "warm_bytes": {"experiment": "D", "file_sizes": ["1MB"],
@@ -164,12 +164,14 @@ REFUSED = {
     "max_retries": {"experiment": "A", "max_retries": -1},
     "random_topologies": {"experiment": "B", "random_topologies": -1},
     "kill_time": {"experiment": "E", "kill_time": -1},
+    "ranges-empty": {"experiment": "D", "ranges": []},
 }
 
 
-@pytest.mark.parametrize("field", sorted(REFUSED))
-def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, field):
-    body = REFUSED[field]
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, case):
+    body = REFUSED[case]
+    field = case.partition("-")[0]  # an id may add "-<variant>" to the field
     with pytest.raises(ConfigError, match=field):
         config_from_dict(body)
     path = tmp_path / "cfg.json"

@@ -196,6 +196,30 @@ def test_upstream_killed_mid_transfer_breaks_the_chain():
     assert meta.delivered_bytes < 20 * MB
 
 
+@pytest.mark.parametrize("kill_time", [120.0, 400.0])
+def test_client_notices_a_dead_forward_proxy(kill_time):
+    # 120 ms: csc dies before the request (sent at 100 ms) reaches it;
+    # 400 ms: csc dies while fetching the body from int1.  The client gives
+    # up three initial RTOs, 3 * max(4 * 50, 200) ms, after the death.
+    sim, net, plane = make_world()
+    net.schedule_kill(kill_time, "csc")
+    meta = get(sim, plane)
+    assert not meta.success and meta.reason == "upstream-died"
+    assert meta.completion == kill_time + 600.0
+    assert meta.delivered_bytes == 0
+    assert net.nodes["client"].counters["failed_transfers"] == 1
+
+
+def test_forward_proxy_dead_after_answering_the_syn():
+    # csc answers the SYN at 50 ms and dies at 70 ms; the handshake still
+    # completes at 100 ms, and the client gives up 600 ms after its request.
+    sim, net, plane = make_world()
+    net.schedule_kill(70.0, "csc")
+    meta = get(sim, plane)
+    assert not meta.success and meta.reason == "upstream-died"
+    assert meta.completion == 700.0
+
+
 def test_warm_cache_requires_a_cache():
     node = HttpNode("x")
     with pytest.raises(ValueError):
