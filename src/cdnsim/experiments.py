@@ -25,7 +25,9 @@ parallel writes the same output as a serial run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from .content import ContentObject
@@ -58,6 +60,14 @@ def _link_specs(topo: TopologyConfig, loss_access: float, loss_upstream: float):
         ("int1", "origin", topo.int1_origin_delay, loss_upstream),
         ("int2", "origin", topo.int2_origin_delay, loss_upstream),
     ]
+
+
+def _mark_faces_dead(nodes: dict, killed: str):
+    # Oracle failure signal: neighbors learn immediately that the
+    # face toward the dead node is gone.
+    for node in nodes.values():
+        if node.alive and killed in node.face_of:
+            node.mark_face_dead(node.face_of[killed])
 
 
 class NdnWorld:
@@ -95,7 +105,8 @@ class NdnWorld:
                                      [(self.face("int1", "origin"), 10)])
         self.nodes["int2"].add_route(CONTENT_PREFIX,
                                      [(self.face("int2", "origin"), 10)])
-        self.net.kill_hooks.append(self._on_kill)
+        # Hooks on the network must not hold the world: see Node.net.
+        self.net.kill_hooks.append(functools.partial(_mark_faces_dead, self.nodes))
         self.finished = False
         self.chosen_series = []   # (time_ms, neighbor name chosen by csc)
         self._fetches = 0
@@ -103,44 +114,36 @@ class NdnWorld:
     def face(self, node: str, neighbor: str) -> int:
         return self.nodes[node].face_of[neighbor]
 
-    def _on_kill(self, killed: str):
-        # Oracle failure signal: neighbors learn immediately that the
-        # face toward the dead node is gone.
-        for node in self.nodes.values():
-            if node.alive and killed in node.face_of:
-                node.mark_face_dead(node.face_of[killed])
-
     def install_quality_oracle(self):
         """Every strategy interval, give csc each face's true delay, loss
         and liveness, and record the upstream its strategy would pick."""
+        self.sim.at(self.sim.now, self._oracle_tick)
+
+    def _oracle_tick(self):
         node = self.nodes["csc"]
-        interval = self.cfg.strategy_interval
+        if self.finished or not node.alive:
+            return
         net = self.net
-
-        def tick():
-            if self.finished or not node.alive:
-                return
-            for face_id, neighbor in node.faces.items():
-                link = net.link_between(node.name, neighbor)
-                q = node.qualities[face_id]
-                q.delay_estimate = link.delay
-                q.loss_estimate = link.loss * 100.0
-                q.alive = net.nodes[neighbor].alive and link.up
-            entry = longest_prefix_match(node.fib, CONTENT_PREFIX)
-            chosen = strategy_select(entry, node.qualities, node.strategy)
-            self.chosen_series.append(
-                (self.sim.now, node.faces.get(chosen) if chosen is not None else None))
-            self.sim.after(interval, tick)
-
-        self.sim.at(self.sim.now, tick)
+        for face_id, neighbor in node.faces.items():
+            link = net.link_between(node.name, neighbor)
+            q = node.qualities[face_id]
+            q.delay_estimate = link.delay
+            q.loss_estimate = link.loss * 100.0
+            q.alive = net.nodes[neighbor].alive and link.up
+        entry = longest_prefix_match(node.fib, CONTENT_PREFIX)
+        chosen = strategy_select(entry, node.qualities, node.strategy)
+        self.chosen_series.append(
+            (self.sim.now, node.faces.get(chosen) if chosen is not None else None))
+        self.sim.after(self.cfg.strategy_interval, self._oracle_tick)
 
     def script_switch(self, k: int):
         """Send the first fetch's segments 1..k from csc to int1 and every
         other Interest to int2: C's mid-transfer source switch."""
         face1, face2 = self.face("csc", "int1"), self.face("csc", "int2")
+        world = weakref.ref(self)  # csc keeps the chooser; it must not keep the world
 
         def choose(interest):
-            if self._fetches == 1 and (interest.name.segment() or 0) <= k:
+            if world()._fetches == 1 and (interest.name.segment() or 0) <= k:
                 return face1
             return face2
 

@@ -421,6 +421,8 @@ class ConsumerPipeline:
         if self.done:
             return
         self.done = True
+        if self.node.app_deliver == self._on_data:
+            self.node.app_deliver = None  # the node no longer holds this pipeline
         self.result.success = success
         self.result.reason = reason
         self.result.completion = self.sim.now - self._t0

@@ -10,6 +10,7 @@ from its kill time on and emits nothing.
 from __future__ import annotations
 
 import math
+import weakref
 
 from .sim import Simulator, make_rng
 
@@ -57,18 +58,22 @@ class Link:
 
 
 class Node:
-    """Minimal node: subclasses handle packets; death is fail-stop."""
+    """Minimal node: subclasses handle packets; death is fail-stop.
+
+    `Network.add_node` sets `sim` and `net`.  `net` is a weak proxy: the
+    network owns its nodes, and a strong back-reference would make every
+    node a reference cycle, so a finished world (its Content Stores full
+    of Data) would wait for the cycle collector instead of being freed
+    when its last reference goes.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.alive = True
         self.death_time = math.inf
+        self.sim: Simulator | None = None
         self.net: "Network" | None = None
         self.counters: dict = {}
-
-    @property
-    def sim(self) -> Simulator:
-        return self.net.sim
 
     def count(self, key: str, n: int = 1):
         self.counters[key] = self.counters.get(key, 0) + n
@@ -91,7 +96,8 @@ class Network:
     def add_node(self, node: Node) -> Node:
         if node.name in self.nodes:
             raise ValueError(f"duplicate node {node.name}")
-        node.net = self
+        node.sim = self.sim
+        node.net = weakref.proxy(self)
         self.nodes[node.name] = node
         return node
 

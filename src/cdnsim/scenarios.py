@@ -206,6 +206,18 @@ class ScenarioConfig:
                 raise ConfigError(f"cache_nodes: unknown node {n!r}")
         if self.kill_node not in NODES:
             raise ConfigError(f"kill_node: unknown node {self.kill_node!r}")
+        # B warms csc on both planes; D warms int1 on the NDN plane.
+        warmed = None
+        if self.experiment == "B":
+            warmed = "csc"
+        elif self.experiment == "D" and self.plane != "http" and self.warm_bytes > 0:
+            warmed = "int1"
+        if warmed is not None and warmed not in self.cache_nodes:
+            raise ConfigError(f"cache_nodes: experiment {self.experiment} "
+                              f"warms {warmed}, so it must be listed")
+        if warmed is not None and self.cache_budget <= 0:
+            raise ConfigError(f"cache_budget: experiment {self.experiment} "
+                              f"warms {warmed}, so it must be positive")
         return self
 
 

@@ -6,6 +6,12 @@ against that hop's delay and loss.  Transfers run in per-RTT rounds: the
 sender emits up to cwnd segments, arrivals are processed at the far end
 one link delay later, and the ACK outcome one RTT after the send decides
 the next window.  Bandwidth is infinite; only delay and loss matter.
+
+A round's bookkeeping is per round, not per segment: the arriving run is
+marked received with one slice assignment and one shared `(time, mss)`
+arrival entry, and the cumulative ACK jumps to the first hole.  Loss is
+still drawn per segment, one `Link.should_drop` per segment sent, so the
+RNG stream and the link's transmit counts do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -130,19 +136,14 @@ class TcpTransfer:
         self.on_done = on_done
         self.result = TransferResult()
         self.done = False
-        self._received = [False] * (self.total_segments + 1)
-        self._received_count = 0
+        # Index 0 is unused; the trailing False stops the cumulative-ACK scan.
+        self._received = [False] * (self.total_segments + 2)
         self._cum_ack = 0
         self._consecutive_rto = 0
 
     @property
     def sim(self):
         return self.net.sim
-
-    def _segment_bytes(self, seg: int) -> int:
-        if seg < self.total_segments:
-            return self.conn.mss
-        return self.total_bytes - (self.total_segments - 1) * self.conn.mss
 
     def start(self):
         if self.sim.now < self.conn.established_at:
@@ -166,48 +167,65 @@ class TcpTransfer:
             self._fail("sender died")
             return
         conn = self.conn
-        window = max(1, math.floor(conn.cwnd))
-        high = min(self.total_segments, self._cum_ack + window)
-        batch = [s for s in range(self._cum_ack + 1, high + 1) if not self._received[s]]
+        received = self._received
+        low = self._cum_ack + 1
+        high = min(self.total_segments, self._cum_ack + max(1, math.floor(conn.cwnd)))
+        if True in received[low:high + 1]:
+            batch = [s for s in range(low, high + 1) if not received[s]]
+        else:
+            batch = list(range(low, high + 1))
         if not batch:
             return
         link = conn.link
+        if not link.up:
+            delivered, lost = [], batch
+        else:
+            should_drop, sender, receiver = link.should_drop, self.sender, self.receiver
+            lost = [seg for seg in batch if should_drop(sender, receiver)]
+            delivered = batch
+            if lost:
+                dropped = set(lost)
+                delivered = [seg for seg in batch if seg not in dropped]
         t = self.sim.now
-        delay = link.delay
-        delivered, lost = [], []
-        for seg in batch:
-            if link.up and not link.should_drop(self.sender, self.receiver):
-                delivered.append(seg)
-            else:
-                lost.append(seg)
-        arrival_time = t + delay
+        arrival_time = t + link.delay
         if delivered:
             self.sim.at(arrival_time, self._arrive, delivered)
-        self.sim.at(t + 2.0 * delay, self._ack, batch, delivered, lost, t, arrival_time)
+        self.sim.at(t + 2.0 * link.delay, self._ack, batch, delivered, lost, t, arrival_time)
 
     def _arrive(self, delivered):
+        # One round's segments, ascending; none was received before (a
+        # round is sent only after the previous round's ACK).
         if self.done or not self.net.nodes[self.receiver].alive:
             return
         now = self.sim.now
-        first = self.result.delivered_bytes == 0
-        for seg in delivered:
-            if not self._received[seg]:
-                self._received[seg] = True
-                self._received_count += 1
-                size = self._segment_bytes(seg)
-                self.result.delivered_bytes += size
-                self.result.arrivals.append((now, size))
-        while self._cum_ack < self.total_segments and self._received[self._cum_ack + 1]:
-            self._cum_ack += 1
-        if first and self.result.delivered_bytes and self.on_first_byte is not None:
+        result = self.result
+        first = result.delivered_bytes == 0
+        received = self._received
+        n = len(delivered)
+        lo, hi = delivered[0], delivered[-1]
+        if hi - lo + 1 == n:
+            received[lo:hi + 1] = [True] * n
+        else:
+            for seg in delivered:
+                received[seg] = True
+        mss = self.conn.mss
+        nbytes = n * mss
+        result.arrivals.extend([(now, mss)] * n)
+        if hi == self.total_segments:
+            last = self.total_bytes - (self.total_segments - 1) * mss
+            result.arrivals[-1] = (now, last)
+            nbytes += last - mss
+        result.delivered_bytes += nbytes
+        self._cum_ack = received.index(False, self._cum_ack + 1) - 1
+        if first and self.on_first_byte is not None:
             self.on_first_byte(now)
-        if self._received_count == self.total_segments:
+        if self._cum_ack == self.total_segments:
             self.done = True
             self.conn.state = "closed"
-            self.result.success = True
-            self.result.completion_time = now
+            result.success = True
+            result.completion_time = now
             if self.on_done is not None:
-                self.on_done(self.result)
+                self.on_done(result)
 
     def _ack(self, batch, delivered, lost, send_time, arrival_time):
         if self.done:

@@ -165,6 +165,11 @@ REFUSED = {
     "random_topologies": {"experiment": "B", "random_topologies": -1},
     "kill_time": {"experiment": "E", "kill_time": -1},
     "ranges-empty": {"experiment": "D", "ranges": []},
+    "cache_nodes-b": {"experiment": "B", "cache_nodes": []},
+    "cache_nodes-d": {"experiment": "D", "cache_nodes": ["csc"],
+                      "file_sizes": ["2MB"], "ranges": ["1MB"],
+                      "warm_bytes": "1MB"},
+    "cache_budget-b": {"experiment": "B", "cache_budget": 0},
 }
 
 

@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
+
+import pytest
 
 from cdnsim.experiments import (NdnWorld, HttpWorld, experiment_b_topologies,
-                                run_experiment)
+                                run_experiment, switch_segment)
 from cdnsim.metrics import records_to_csv
 from cdnsim.scenarios import config_from_dict
 
@@ -153,3 +157,81 @@ def test_seed_changes_lossy_outcomes():
     r2 = [r.completion_ms for r in run_experiment(cfg2).records
           if r.mode == "lossy"]
     assert r1 != r2
+
+
+# --- a finished world is freed by reference counting ---------------------------
+
+KB = 1 << 10
+
+
+def small_world(experiment, config=None, **world):
+    cfg = config_from_dict({"experiment": experiment, "file_sizes": ["256KB"],
+                            "cache_nodes": ["csc", "int1", "int2"], **(config or {})})
+    return NdnWorld(cfg, seed=3, size=cfg.file_sizes[0], **world)
+
+
+def fetched_a_lossy():
+    world = small_world("A", loss_access=0.05, loss_upstream=0.05)
+    world.fetch()
+    return world
+
+
+def fetched_b_warm():
+    world = small_world("B")
+    world.warm("csc", range(1, world.content.segment_count + 1))
+    world.fetch()
+    return world
+
+
+def fetched_c_switch():
+    world = small_world("C")
+    world.script_switch(switch_segment(world.cfg))
+    world.fetch(label="first")
+    world.fetch(label="second")
+    return world
+
+
+def fetched_d_warm_range():
+    world = small_world("D", {"ranges": ["100KB"], "warm_bytes": "50KB"})
+    world.warm("int1", range(1, 11))
+    for label in ("r0", "r1"):
+        world.fetch((0, 100 * KB - 1), label=label)
+    return world
+
+
+def fetched_e_kill():
+    world = small_world("E")
+    world.net.schedule_kill(300.0, "int1")
+    world.fetch()
+    return world
+
+
+def fetched_f_oracle():
+    world = small_world("F", strategy="weighted-best-path")
+    world.install_quality_oracle()
+    world.net.schedule_link_change(200.0, "csc", "int1", delay=100.0, loss=0.01)
+    world.fetch()
+    return world
+
+
+FETCHED_WORLDS = {"A-lossy": fetched_a_lossy, "B-warm": fetched_b_warm,
+                  "C-switch": fetched_c_switch, "D-warm-range": fetched_d_warm_range,
+                  "E-kill": fetched_e_kill, "F-oracle": fetched_f_oracle}
+
+
+@pytest.mark.parametrize("setup", sorted(FETCHED_WORLDS))
+def test_finished_ndn_world_is_freed_without_the_cycle_collector(setup):
+    """No reference cycle keeps a world, or the Data in its Content Stores,
+    alive after its last reference goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        world = FETCHED_WORLDS[setup]()
+        cs = weakref.ref(world.nodes["csc"].cs)
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+        assert cs() is None
+    finally:
+        if enabled:
+            gc.enable()

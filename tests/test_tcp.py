@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim.network import Network, Node
 from cdnsim.sim import Simulator
@@ -228,3 +229,103 @@ def test_cwnd_trace_matches_oracle(drops):
     res = run_transfer(sim, net, conn, total * DEFAULT_MSS)
     assert res.success
     assert res.cwnd_trace == reno_oracle(total, drops)
+
+
+# --- bulk rounds vs the per-segment reference --------------------------------
+
+class PerSegmentTransfer(TcpTransfer):
+    """The round loop as it was before rounds were booked in bulk: one loss
+    draw, one received mark, one arrival tuple and one cumulative-ACK step
+    per segment.  `_ack` is shared, so only the round bookkeeping differs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._received_count = 0
+
+    def _segment_bytes(self, seg):
+        if seg < self.total_segments:
+            return self.conn.mss
+        return self.total_bytes - (self.total_segments - 1) * self.conn.mss
+
+    def _round(self):
+        if self.done:
+            return
+        if not self.net.nodes[self.sender].alive:
+            self._fail("sender died")
+            return
+        conn = self.conn
+        window = max(1, math.floor(conn.cwnd))
+        high = min(self.total_segments, self._cum_ack + window)
+        batch = [s for s in range(self._cum_ack + 1, high + 1) if not self._received[s]]
+        if not batch:
+            return
+        link = conn.link
+        t = self.sim.now
+        delay = link.delay
+        delivered, lost = [], []
+        for seg in batch:
+            if link.up and not link.should_drop(self.sender, self.receiver):
+                delivered.append(seg)
+            else:
+                lost.append(seg)
+        arrival_time = t + delay
+        if delivered:
+            self.sim.at(arrival_time, self._arrive, delivered)
+        self.sim.at(t + 2.0 * delay, self._ack, batch, delivered, lost, t, arrival_time)
+
+    def _arrive(self, delivered):
+        if self.done or not self.net.nodes[self.receiver].alive:
+            return
+        now = self.sim.now
+        first = self.result.delivered_bytes == 0
+        for seg in delivered:
+            if not self._received[seg]:
+                self._received[seg] = True
+                self._received_count += 1
+                size = self._segment_bytes(seg)
+                self.result.delivered_bytes += size
+                self.result.arrivals.append((now, size))
+        while self._cum_ack < self.total_segments and self._received[self._cum_ack + 1]:
+            self._cum_ack += 1
+        if first and self.result.delivered_bytes and self.on_first_byte is not None:
+            self.on_first_byte(now)
+        if self._received_count == self.total_segments:
+            self.done = True
+            self.conn.state = "closed"
+            self.result.success = True
+            self.result.completion_time = now
+            if self.on_done is not None:
+                self.on_done(self.result)
+
+
+def transfer_outcome(cls, nbytes, delay, loss, drops, kill):
+    sim, net = make_net(delay=delay, loss=loss)
+    link = net.link_between("a", "b")
+    if drops is not None:
+        link.scripted_drops = {("a", "b"): drops}
+    if kill is not None:
+        net.schedule_kill(*kill)
+    conn = preestablished(net, "a", "b")
+    out, first = [], []
+    cls(net, conn, "a", nbytes, on_first_byte=first.append,
+        on_done=out.append).start()
+    sim.run()
+    return out, first, dict(link.tx), link.dropped_loss
+
+
+@settings(max_examples=60, deadline=None)
+@given(nbytes=st.one_of(
+           st.sampled_from([1, DEFAULT_MSS, DEFAULT_MSS + 1, 3 << 20]),
+           st.integers(1, 5 << 20)),
+       delay=st.sampled_from([1.0, 10.0, 25.0, 50.0]),
+       loss=st.sampled_from([0.0, 0.001, 0.2]),
+       drops=st.none() | st.frozensets(st.integers(0, 300), max_size=30),
+       kill=st.none() | st.tuples(st.floats(0.0, 2000.0), st.sampled_from(["a", "b"])))
+def test_bulk_rounds_match_per_segment_reference(nbytes, delay, loss, drops, kill):
+    """Booking a round in bulk gives the per-segment loop's result, the same
+    loss draws and the same link transmit counts."""
+    got = transfer_outcome(TcpTransfer, nbytes, delay, loss, drops, kill)
+    want = transfer_outcome(PerSegmentTransfer, nbytes, delay, loss, drops, kill)
+    assert got == want
+    (res,), _, _, _ = got
+    assert res.delivered_bytes == sum(b for _, b in res.arrivals)
