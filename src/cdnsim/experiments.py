@@ -123,17 +123,17 @@ class NdnWorld:
         node = self.nodes["csc"]
         if self.finished or not node.alive:
             return
-        net = self.net
-        for face_id, neighbor in node.faces.items():
-            link = net.link_between(node.name, neighbor)
+        nodes = self.net.nodes
+        for face_id, face in enumerate(node.faces[1:], start=1):
+            link = face.link
             q = node.qualities[face_id]
             q.delay_estimate = link.delay
             q.loss_estimate = link.loss * 100.0
-            q.alive = net.nodes[neighbor].alive and link.up
+            q.alive = nodes[face.dst].alive and link.up
         entry = longest_prefix_match(node.fib, CONTENT_PREFIX)
         chosen = strategy_select(entry, node.qualities, node.strategy)
         self.chosen_series.append(
-            (self.sim.now, node.faces.get(chosen) if chosen is not None else None))
+            (self.sim.now, node.faces[chosen].dst if chosen is not None else None))
         self.sim.after(self.cfg.strategy_interval, self._oracle_tick)
 
     def script_switch(self, k: int):
@@ -175,7 +175,7 @@ class NdnWorld:
 
     @property
     def origin_touches(self) -> int:
-        return self.nodes["origin"].counters.get("origin_touches", 0)
+        return self.nodes["origin"].origin_touches
 
     def cache_bytes(self, node_name: str) -> int:
         cs = self.nodes[node_name].cs

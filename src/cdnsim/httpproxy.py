@@ -19,6 +19,7 @@ is noticed sooner by the transfer itself ("sender died").
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -90,28 +91,52 @@ class HttpNode(Node):
         pass                                 # orchestrated by HttpPlane
 
 
+def _fail_waiters(waits: dict, name: str):
+    """Kill hook: tell everyone waiting on `name` that it died."""
+    for cb in waits.pop(name, []):
+        cb()
+
+
+class _Pending:
+    """One request from src to dst in flight.  It settles exactly once:
+    when the reply ends, or `dead_peer_delay` after dst dies.  Its two
+    ways to settle are methods, not closures that refer to each other,
+    so a finished world is freed without the cycle collector."""
+
+    __slots__ = ("sim", "waits", "dst", "conn", "on_done", "settled")
+
+    def __init__(self, sim, waits: dict, dst: str, conn, on_done):
+        self.sim = sim
+        self.waits = waits
+        self.dst = dst
+        self.conn = conn
+        self.on_done = on_done
+        self.settled = False
+
+    def settle(self, ok: bool, result, reason: str):
+        if not self.settled:
+            self.settled = True
+            callbacks = self.waits.get(self.dst)
+            if callbacks and self.on_dead in callbacks:
+                callbacks.remove(self.on_dead)
+            self.on_done(ok, result, reason)
+
+    def on_dead(self):
+        self.sim.after(dead_peer_delay(self.conn.link), self.settle, False,
+                       None, "upstream-died")
+
+
 class HttpPlane:
     """Drives HTTP exchanges over a Network of HttpNodes."""
 
     def __init__(self, net: Network, mss: int = DEFAULT_MSS):
         self.net = net
         self.mss = mss
+        # Peer name -> callbacks of the requests waiting on it.  The kill
+        # hook holds this dict, not the plane: the network must not hold
+        # what holds the network.
         self._waits: dict[str, list] = {}
-        net.kill_hooks.append(self._on_kill)
-
-    # --- peer-death bookkeeping ---------------------------------------------
-
-    def _wait_on(self, peer: str, fail_cb):
-        self._waits.setdefault(peer, []).append(fail_cb)
-
-    def _unwait(self, peer: str, fail_cb):
-        callbacks = self._waits.get(peer)
-        if callbacks and fail_cb in callbacks:
-            callbacks.remove(fail_cb)
-
-    def _on_kill(self, name: str):
-        for cb in self._waits.pop(name, []):
-            cb()
+        net.kill_hooks.append(functools.partial(_fail_waiters, self._waits))
 
     # --- client entry point -------------------------------------------------
 
@@ -160,24 +185,13 @@ class HttpPlane:
         link delay later.  on_done(ok, result, reason) runs exactly once:
         when the reply ends, or `dead_peer_delay` after dst dies."""
         sim = self.net.sim
-        settled = []
-
-        def settle(ok: bool, result, reason: str):
-            if not settled:
-                settled.append(True)
-                self._unwait(dst, on_dead)
-                on_done(ok, result, reason)
-
-        def on_dead():
-            sim.after(dead_peer_delay(conn.link), settle, False, None,
-                      "upstream-died")
-
+        pending = _Pending(sim, self._waits, dst, conn, on_done)
         if self.net.nodes[dst].alive:
-            self._wait_on(dst, on_dead)
+            self._waits.setdefault(dst, []).append(pending.on_dead)
         else:  # died after answering the client's SYN
-            on_dead()
+            pending.on_dead()
         sim.after(conn.link.delay, self._serve, dst, request, conn,
-                  first_byte_cb, settle)
+                  first_byte_cb, pending.settle)
 
     def _serve(self, node_name: str, request: HttpRequest, down_conn,
                first_byte_cb, cb):

@@ -1,9 +1,11 @@
 """Hierarchical content names and component-wise longest prefix matching.
 
-Names are `/`-separated lists of opaque string components.  A trailing
-`segment=<k>` component carries a segment number.  `/` and `%` inside a
-component are percent-escaped so every name round-trips through its text
-form.
+A name is a tuple of opaque string components: `Name` subclasses `tuple`,
+so hashing, equality and slicing run in C, a Name equals and hashes as
+its plain component tuple, and a slice of a Name is a plain tuple.  A
+trailing `segment=<k>` component carries a segment number.  In the text
+form, `/` and `%` inside a component are percent-escaped so every name
+round-trips through it.
 """
 
 from __future__ import annotations
@@ -33,16 +35,10 @@ def _unescape(component: str) -> str:
     return "".join(out)
 
 
-class Name:
-    """An immutable hierarchical name."""
+class Name(tuple):
+    """An immutable hierarchical name: a tuple of components."""
 
-    __slots__ = ("components",)
-
-    def __init__(self, components=()):
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Name is immutable")
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "Name":
@@ -56,43 +52,32 @@ class Name:
             raise ValueError(f"empty component in name: {text!r}")
         return cls(_unescape(p) for p in parts)
 
+    @property
+    def components(self) -> tuple:
+        """The components as a plain tuple."""
+        return tuple(self)
+
     def __str__(self) -> str:
-        if not self.components:
+        if not self:
             return "/"
-        return "/" + "/".join(_escape(c) for c in self.components)
+        return "/" + "/".join(_escape(c) for c in self)
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
 
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def __eq__(self, other) -> bool:
-        # A Name equals its component tuple, and the hashes agree, so a
-        # table keyed by either answers a lookup by either.
-        if isinstance(other, Name):
-            return self.components == other.components
-        return self.components == other
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
     def append(self, component: str) -> "Name":
-        return Name(self.components + (component,))
+        return Name(self + (component,))
 
     def with_segment(self, k: int) -> "Name":
         if k < 0:
             raise ValueError("segment number must be non-negative")
-        return Name(self.components + (f"{_SEGMENT_PREFIX}{k}",))
+        return Name(self + (f"{_SEGMENT_PREFIX}{k}",))
 
     def segment(self):
         """Segment number carried by the last component, or None."""
-        if not self.components:
+        if not self:
             return None
-        last = self.components[-1]
+        last = self[-1]
         if last.startswith(_SEGMENT_PREFIX):
             digits = last[len(_SEGMENT_PREFIX) :]
             if digits.isdigit():
@@ -103,11 +88,10 @@ class Name:
         """The name without its segment component (identity if none)."""
         if self.segment() is None:
             return self
-        return Name(self.components[:-1])
+        return Name(self[:-1])
 
     def is_prefix_of(self, other: "Name") -> bool:
-        n = len(self.components)
-        return other.components[:n] == self.components
+        return other[:len(self)] == self
 
 
 def longest_prefix_match(table, query: Name):
@@ -115,12 +99,12 @@ def longest_prefix_match(table, query: Name):
     prefixes of `query`, or None.
 
     `table` maps component tuples (as `NdnNode.fib` does) or Names to
-    values; it is probed with tuples, which match Name keys too.
-    Matching is component-wise: a prefix never matches inside a component.
+    values; it is probed with slices of `query`, which are plain tuples
+    and match Name keys too.  Matching is component-wise: a prefix never
+    matches inside a component.
     """
-    q = query.components
-    for length in range(len(q), -1, -1):
-        hit = table.get(q[:length])
+    for length in range(len(query), -1, -1):
+        hit = table.get(query[:length])
         if hit is not None:
             return hit
     return None

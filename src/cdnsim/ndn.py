@@ -24,7 +24,7 @@ from .cache import ContentStore
 from .content import ContentObject, Data, Interest, DEFAULT_INTEREST_LIFETIME_MS
 from .metrics import Fetch
 from .names import Name, longest_prefix_match
-from .network import Node
+from .network import Face, Node
 from .sim import make_rng
 
 APP_FACE = 0
@@ -73,6 +73,9 @@ class FibEntry:
         faces = [f for f, _ in self.nexthops]
         if len(faces) != len(set(faces)):
             raise ValueError("duplicate face in FIB entry")
+        # Face ids by (static cost, face id): best-route's preference order.
+        self.by_cost = [f for f, _ in sorted(self.nexthops,
+                                             key=lambda h: (h[1], h[0]))]
 
 
 def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozenset()):
@@ -80,8 +83,17 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
 
     best-route-failover: lowest static cost among alive faces.
     weighted-best-path: lowest compute_path_weight over the face quality
-    estimates.  Ties break toward the lowest face id.
+    estimates.  Ties break toward the lowest face id.  A face with no
+    quality entry counts as alive.
     """
+    if mode == BEST_ROUTE:
+        for face_id in entry.by_cost:
+            if face_id in exclude:
+                continue
+            q = qualities.get(face_id)
+            if q is None or q.alive:
+                return face_id
+        return None
     candidates = []
     for face_id, cost in entry.nexthops:
         if face_id in exclude:
@@ -92,8 +104,6 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
         candidates.append((face_id, cost, q))
     if not candidates:
         return None
-    if mode == BEST_ROUTE:
-        return min(candidates, key=lambda c: (c[1], c[0]))[0]
     if mode == WEIGHTED:
         def weight(c):
             q = c[2]
@@ -115,17 +125,29 @@ class PitEntry:
         self.expiry = expiry
 
 
+# Per-packet counts, kept as int fields of NdnNode; `NdnNode.counters`
+# reports the non-zero ones under these names.
+COUNTER_FIELDS = (
+    "interests_in", "interests_out", "data_in", "data_out",
+    "cs_hits", "cs_misses", "origin_touches", "pit_aggregated",
+    "dup_nonce_drops", "no_route_drops", "unsolicited_data",
+    "failover_reforwards",
+)
+
+
 class NdnNode(Node):
     def __init__(self, name: str, *, cs_capacity: int = 0,
                  strategy: str = BEST_ROUTE,
                  pit_lifetime: float = DEFAULT_PIT_LIFETIME_MS):
         super().__init__(name)
+        for key in COUNTER_FIELDS:
+            setattr(self, key, 0)
         self.cs = ContentStore(cs_capacity) if cs_capacity > 0 else None
         self.strategy = strategy
         self.pit_lifetime = pit_lifetime
         self.fib: dict[tuple, FibEntry] = {}
         self.pit: dict[Name, PitEntry] = {}
-        self.faces: dict[int, str] = {}        # face_id -> neighbor node name
+        self.faces: list[Optional[Face]] = [None]  # by face id; 0 is APP_FACE
         self.face_out: list[int] = [0]          # packets sent, by face id
         self.face_of: dict[str, int] = {}
         self.qualities: dict[int, FaceQuality] = {}
@@ -135,11 +157,24 @@ class NdnNode(Node):
         self.scripted_chooser: Optional[Callable[[Interest], Optional[int]]] = None
         self.app_deliver: Optional[Callable[[Data], None]] = None
 
+    @property
+    def counters(self) -> dict:
+        """The non-zero per-packet counts, then the rare ones that
+        `Node.count` keeps (`dropped_dead`); a copy, not a live view."""
+        out = {}
+        for key in COUNTER_FIELDS:
+            n = getattr(self, key)
+            if n:
+                out[key] = n
+        out.update(self._counts)
+        return out
+
     # --- wiring -------------------------------------------------------------
 
     def add_face(self, neighbor: str) -> int:
-        face_id = len(self.faces) + 1
-        self.faces[face_id] = neighbor
+        """Open a face on the link to `neighbor`, which must exist."""
+        face_id = len(self.faces)
+        self.faces.append(self.net.face(self.name, neighbor))
         self.face_of[neighbor] = face_id
         self.face_out.append(0)
         self.qualities[face_id] = FaceQuality(face_id)
@@ -158,27 +193,27 @@ class NdnNode(Node):
         self.receive(packet, face_id)
 
     def receive(self, packet, in_face: int):
-        if isinstance(packet, Interest):
-            self.count("interests_in")
+        if type(packet) is Interest:
+            self.interests_in += 1
             emissions = self.process_interest(packet, in_face)
         else:
-            self.count("data_in")
+            self.data_in += 1
             emissions = self.process_data(packet, in_face)
         for face_id, pkt in emissions:
             self._send(face_id, pkt)
         return emissions
 
     def _send(self, face_id: int, packet):
-        if isinstance(packet, Interest):
-            self.count("interests_out")
+        if type(packet) is Interest:
+            self.interests_out += 1
         else:
-            self.count("data_out")
+            self.data_out += 1
         self.face_out[face_id] += 1
         if face_id == APP_FACE:
             if self.app_deliver is not None:
                 self.app_deliver(packet)
             return
-        self.net.transmit(self.name, self.faces[face_id], packet)
+        self.net.transmit(self.faces[face_id], packet)
 
     def process_interest(self, interest: Interest, in_face: int):
         now = self.sim.now
@@ -186,12 +221,12 @@ class NdnNode(Node):
         if self.cs is not None:
             data = self.cs.lookup(name)
             if data is not None:
-                self.count("cs_hits")
+                self.cs_hits += 1
                 return [(in_face, data)]
-            self.count("cs_misses")
+            self.cs_misses += 1
         data = self._producer_lookup(name)
         if data is not None:
-            self.count("origin_touches")
+            self.origin_touches += 1
             return [(in_face, data)]
 
         entry = self.pit.get(name)
@@ -200,7 +235,7 @@ class NdnNode(Node):
             entry = None
         if entry is not None:
             if interest.nonce in entry.nonces:
-                self.count("dup_nonce_drops")
+                self.dup_nonce_drops += 1
                 return []
             entry.nonces.add(interest.nonce)
             if in_face in entry.in_records:
@@ -209,7 +244,7 @@ class NdnNode(Node):
                 entry.in_records[in_face].add(interest.nonce)
                 return self._forward(interest, entry, in_face)
             entry.in_records[in_face] = {interest.nonce}
-            self.count("pit_aggregated")
+            self.pit_aggregated += 1
             return []
 
         entry = PitEntry(name, now + min(interest.lifetime, self.pit_lifetime))
@@ -222,9 +257,9 @@ class NdnNode(Node):
         return emissions
 
     def _forward(self, interest: Interest, entry: PitEntry, in_face: int):
-        face_id = self._choose_face(interest, exclude={in_face})
+        face_id = self._choose_face(interest, exclude=(in_face,))
         if face_id is None:
-            self.count("no_route_drops")
+            self.no_route_drops += 1
             return []
         entry.out_face_last = face_id
         entry.expiry = max(entry.expiry,
@@ -247,7 +282,7 @@ class NdnNode(Node):
         seg = name.segment()
         if seg is None:
             return None
-        content = self.producer_contents.get(name.components[:-1])
+        content = self.producer_contents.get(name[:-1])
         if content is None or not 1 <= seg <= content.segment_count:
             return None
         return content.segment_data(seg)
@@ -259,7 +294,7 @@ class NdnNode(Node):
             del self.pit[data.name]
             entry = None
         if entry is None:
-            self.count("unsolicited_data")
+            self.unsolicited_data += 1
             return []
         if self.cs is not None:
             self.cs.insert(data)
@@ -287,7 +322,7 @@ class NdnNode(Node):
                 alt = self._choose_face(interest, exclude=set(entry.in_records))
                 if alt is not None and alt != face_id:
                     entry.out_face_last = alt
-                    self.count("failover_reforwards")
+                    self.failover_reforwards += 1
                     self._send(alt, interest)
 
 

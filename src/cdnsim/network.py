@@ -5,6 +5,14 @@ link delay after it was sent.  Loss is an independent per-packet Bernoulli
 draw from a per-link-direction RNG, so traffic on one link never perturbs
 another link's draws.  Node kill is fail-stop: the node drops everything
 from its kill time on and emits nothing.
+
+A packet goes out on a `Face`: one direction of a link, as its sender
+sees it.  A face holds the link and the names of its two ends, so a send
+needs no `(src, dst)` lookup to find its link.  It holds no node: nodes
+keep their faces, so a face that held its peer would tie every pair of
+neighbours into a reference cycle (node, face, peer, face, node), and a
+finished world would wait for the cycle collector.  The receiver is
+looked up by name when the packet arrives.
 """
 
 from __future__ import annotations
@@ -57,6 +65,17 @@ class Link:
         return self._rng[direction].random() < self.loss
 
 
+class Face:
+    """One direction of a link: packets from `src` to `dst`."""
+
+    __slots__ = ("link", "src", "dst")
+
+    def __init__(self, link: Link, src: str, dst: str):
+        self.link = link
+        self.src = src
+        self.dst = dst
+
+
 class Node:
     """Minimal node: subclasses handle packets; death is fail-stop.
 
@@ -73,10 +92,15 @@ class Node:
         self.death_time = math.inf
         self.sim: Simulator | None = None
         self.net: "Network" | None = None
-        self.counters: dict = {}
+        self._counts: dict = {}
+
+    @property
+    def counters(self) -> dict:
+        """Counts by key; a key never counted is absent."""
+        return self._counts
 
     def count(self, key: str, n: int = 1):
-        self.counters[key] = self.counters.get(key, 0) + n
+        self._counts[key] = self._counts.get(key, 0) + n
 
     def on_packet(self, packet, from_name: str):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -90,7 +114,7 @@ class Network:
         self.sim = sim
         self.base_seed = base_seed
         self.nodes: dict[str, Node] = {}
-        self.links: dict[tuple[str, str], Link] = {}
+        self.faces: dict[tuple[str, str], Face] = {}  # (src, dst) -> face
         self.kill_hooks = []  # callbacks(node_name) run when a node dies
 
     def add_node(self, node: Node) -> Node:
@@ -105,40 +129,44 @@ class Network:
         if a not in self.nodes or b not in self.nodes:
             raise ValueError(f"link endpoints must exist: {a}, {b}")
         link = Link(a, b, delay, loss, self.base_seed)
-        self.links[(a, b)] = link
-        self.links[(b, a)] = link
+        self.faces[(a, b)] = Face(link, a, b)
+        self.faces[(b, a)] = Face(link, b, a)
         return link
 
-    def link_between(self, a: str, b: str) -> Link:
-        return self.links[(a, b)]
+    def face(self, src: str, dst: str) -> Face:
+        return self.faces[(src, dst)]
 
-    def transmit(self, src: str, dst: str, packet) -> bool:
-        """Send one packet over the src-dst link.  Returns False on drop."""
+    def link_between(self, a: str, b: str) -> Link:
+        return self.faces[(a, b)].link
+
+    def transmit(self, face: Face, packet) -> bool:
+        """Send one packet out on `face`.  Returns False on drop."""
         sim = self.sim
-        link = self.links[(src, dst)]
+        link = face.link
         if not link.up:
             link.dropped_down += 1
             if sim.trace is not None:
-                sim.log(src, "drop-linkdown", f"{dst} {packet}")
+                sim.log(face.src, "drop-linkdown", f"{face.dst} {packet}")
             return False
-        if link.should_drop(src, dst):
+        if link.should_drop(face.src, face.dst):
             link.dropped_loss += 1
             if sim.trace is not None:
-                sim.log(src, "drop-loss", f"{dst} {packet}")
+                sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
             return False
         if sim.trace is not None:
-            sim.log(src, "tx", f"{dst} {packet}")
-        sim.after(link.delay, self._deliver, src, dst, packet)
+            sim.log(face.src, "tx", f"{face.dst} {packet}")
+        # A link delay is never negative, so `after`'s check is not needed.
+        sim.at(sim.now + link.delay, self._deliver, face, packet)
         return True
 
-    def _deliver(self, src: str, dst: str, packet):
-        node = self.nodes[dst]
+    def _deliver(self, face: Face, packet):
+        node = self.nodes[face.dst]
         if not node.alive:
             node.count("dropped_dead")
             return
         if self.sim.trace is not None:
-            self.sim.log(dst, "rx", f"{src} {packet}")
-        node.on_packet(packet, src)
+            self.sim.log(face.dst, "rx", f"{face.src} {packet}")
+        node.on_packet(packet, face.src)
 
     # --- fault and parameter-change injection -------------------------------
 
@@ -160,7 +188,7 @@ class Network:
         self.sim.at(t, self.kill_node, name)
 
     def set_link(self, a: str, b: str, delay=None, loss=None, up=None):
-        link = self.links[(a, b)]
+        link = self.link_between(a, b)
         if delay is not None:
             if delay < 0:
                 raise ValueError("link delay must be non-negative")
@@ -176,6 +204,6 @@ class Network:
                          f"{b} delay={link.delay} loss={link.loss} up={link.up}")
 
     def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None, up=None):
-        if (a, b) not in self.links:
+        if (a, b) not in self.faces:
             raise ValueError(f"unknown link {a}-{b}")
         self.sim.at(t, self.set_link, a, b, delay, loss, up)

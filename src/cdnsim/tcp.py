@@ -63,40 +63,57 @@ def tcp_open(net: Network, client: str, server: str, on_done,
     SYN and SYN-ACK are subject to link loss; a lost handshake retries
     after 1 s, doubling.
     """
-    link = net.link_between(client, server)
-    sim = net.sim
-    state = {"done": False}
+    _Handshake(net, client, server, on_done, mss).attempt(1)
 
-    def finish(conn):
-        if not state["done"]:
-            state["done"] = True
-            on_done(conn)
 
-    def attempt(n):
-        if state["done"]:
+class _Handshake:
+    """One tcp_open in progress.  Its steps are methods scheduled on the
+    simulator, not closures, so no step refers to itself and a finished
+    world is freed without the cycle collector."""
+
+    __slots__ = ("net", "link", "client", "server", "on_done", "mss", "done")
+
+    def __init__(self, net: Network, client: str, server: str, on_done,
+                 mss: int):
+        self.net = net
+        self.link = net.link_between(client, server)
+        self.client = client
+        self.server = server
+        self.on_done = on_done
+        self.mss = mss
+        self.done = False
+
+    def finish(self, conn):
+        if not self.done:
+            self.done = True
+            self.on_done(conn)
+
+    def attempt(self, n: int):
+        if self.done:
             return
         if n > SYN_RETRY_BUDGET:
-            finish(None)
+            self.finish(None)
             return
+        sim, link = self.net.sim, self.link
         timeout = SYN_TIMEOUT_MS * (2 ** (n - 1))
-        sim.after(timeout, attempt, n + 1)
-        if link.up and not link.should_drop(client, server):
-            sim.after(link.delay, syn_arrive)
+        sim.after(timeout, self.attempt, n + 1)
+        if link.up and not link.should_drop(self.client, self.server):
+            sim.after(link.delay, self.syn_arrive)
 
-    def syn_arrive():
-        if state["done"] or not net.nodes[server].alive:
+    def syn_arrive(self):
+        if self.done or not self.net.nodes[self.server].alive:
             return
-        if link.up and not link.should_drop(server, client):
-            sim.after(link.delay, established)
+        link = self.link
+        if link.up and not link.should_drop(self.server, self.client):
+            self.net.sim.after(link.delay, self.established)
 
-    def established():
-        if state["done"] or not net.nodes[client].alive:
+    def established(self):
+        if self.done or not self.net.nodes[self.client].alive:
             return
-        conn = TcpConnection(client, server, link, established_at=sim.now,
-                             mss=mss, srtt=2.0 * link.delay)
-        finish(conn)
-
-    attempt(1)
+        sim, link = self.net.sim, self.link
+        self.finish(TcpConnection(self.client, self.server, link,
+                                  established_at=sim.now, mss=self.mss,
+                                  srtt=2.0 * link.delay))
 
 
 def preestablished(net: Network, client: str, server: str,

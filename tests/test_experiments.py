@@ -235,3 +235,64 @@ def test_finished_ndn_world_is_freed_without_the_cycle_collector(setup):
     finally:
         if enabled:
             gc.enable()
+
+
+def small_http_world(experiment, config=None, **world):
+    cfg = config_from_dict({"experiment": experiment, "file_sizes": ["1MB"],
+                            "cache_nodes": ["csc", "int1", "int2"], **(config or {})})
+    return HttpWorld(cfg, seed=3, size=cfg.file_sizes[0], **world)
+
+
+def fetched_http_a_lossy():
+    world = small_http_world("A", loss_access=0.05, loss_upstream=0.05)
+    world.fetch()
+    return world
+
+
+def fetched_http_d_bypass_range():
+    world = small_http_world("D", {"ranges": ["100KB"], "warm_bytes": "50KB"},
+                             range_mode="bypass")
+    for _ in range(2):
+        world.fetch((0, 100 * KB - 1))
+    return world
+
+
+def fetched_http_e_csc_kill():
+    # The forward proxy dies after the client's handshake: a failed fetch.
+    world = small_http_world("E")
+    world.net.schedule_kill(120.0, "csc")
+    assert not world.fetch().success
+    return world
+
+
+def fetched_http_f_degrade():
+    world = small_http_world("F", lb_policy="single")
+    world.net.schedule_link_change(200.0, "csc", "int1", delay=100.0, loss=0.01)
+    world.fetch()
+    return world
+
+
+FETCHED_HTTP_WORLDS = {"A-lossy": fetched_http_a_lossy,
+                       "D-bypass-range": fetched_http_d_bypass_range,
+                       "E-csc-kill": fetched_http_e_csc_kill,
+                       "F-degrade": fetched_http_f_degrade}
+
+
+@pytest.mark.parametrize("setup", sorted(FETCHED_HTTP_WORLDS))
+def test_finished_http_world_is_freed_without_the_cycle_collector(setup):
+    """No reference cycle keeps an HTTP world's network, simulator or
+    proxy caches alive after its last reference goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        world = FETCHED_HTTP_WORLDS[setup]()
+        net = weakref.ref(world.net)
+        sim = weakref.ref(world.sim)
+        cache = weakref.ref(world.nodes["int1"].cache)
+        del world
+        assert net() is None
+        assert sim() is None
+        assert cache() is None
+    finally:
+        if enabled:
+            gc.enable()

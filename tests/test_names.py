@@ -107,3 +107,51 @@ def test_lpm_matches_brute_force(table, query):
             best = len(comps)
             expected = value
     assert longest_prefix_match(table, query) == expected
+
+
+# --- Name is a component tuple --------------------------------------------------
+
+def _reference_str(components):
+    # The text form as the original Name class formatted it.
+    if not components:
+        return "/"
+    return "/" + "/".join(c.replace("%", "%25").replace("/", "%2F")
+                          for c in components)
+
+
+@given(names)
+def test_name_equals_and_hashes_as_its_components(name):
+    comps = tuple(name)
+    assert Name(comps) == comps and comps == Name(comps)
+    assert hash(Name(comps)) == hash(comps)
+    assert type(name.components) is tuple and name.components == comps
+
+
+@given(names)
+def test_str_and_repr_match_the_reference_formatter(name):
+    text = _reference_str(tuple(name))
+    assert str(name) == text
+    assert repr(name) == f"Name({text!r})"
+
+
+@given(names)
+def test_slicing_a_name_gives_a_plain_tuple(name):
+    assert type(name[:-1]) is tuple
+    assert name[:-1] == tuple(name)[:-1]
+
+
+def test_name_has_no_instance_attributes():
+    n = Name(("a",))
+    with pytest.raises(AttributeError):
+        n.extra = 1
+    with pytest.raises(AttributeError):
+        n.components = ("b",)
+
+
+@given(names)
+def test_name_pickles(name):
+    # `--jobs` starts its workers with spawn, which pickles what it sends.
+    import pickle
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(name, protocol))
+        assert type(copy) is Name and copy == name and str(copy) == str(name)

@@ -7,6 +7,7 @@ from cdnsim.ndn import (BEST_ROUTE, WEIGHTED, FaceQuality, FibEntry, NdnNode,
                         compute_path_weight, strategy_select)
 from cdnsim.network import Network
 from cdnsim.sim import Simulator
+from test_experiments import FETCHED_WORLDS, small_world
 
 PREFIX = Name(("data_file",))
 
@@ -272,3 +273,73 @@ def test_flow_balance_one_data_per_interest_per_face():
     assert all(count == 1 for count in per_face.values())
     # a second copy of the same data finds no PIT state
     assert r.process_data(Data(name, payload_size=10), f_u) == []
+
+
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)),
+                min_size=1, max_size=8, unique_by=lambda t: t[0]),
+       st.data())
+def test_best_route_matches_brute_force_argmin(nexthops, data):
+    # Few distinct costs, so equal-cost nexthops are common.
+    entry = FibEntry(PREFIX, nexthops)
+    faces = [f for f, _ in nexthops]
+    qualities = {f: q(f, alive=data.draw(st.booleans())) for f in faces
+                 if data.draw(st.booleans())}  # a face may have no entry
+    exclude = data.draw(st.sets(st.sampled_from(faces)))
+    chosen = strategy_select(entry, qualities, BEST_ROUTE, exclude)
+    allowed = [(cost, f) for f, cost in nexthops if f not in exclude
+               and (f not in qualities or qualities[f].alive)]
+    assert chosen == (min(allowed)[1] if allowed else None)
+
+
+# --- counters pinned across refactors -----------------------------------------
+
+def fetched_e_kill():
+    world = small_world("E", {"file_sizes": ["1MB"]})
+    world.net.schedule_kill(200.0, "int1")   # mid-transfer: csc fails over
+    world.fetch()
+    return world
+
+
+PINNED_WORLDS = {"A-lossy": FETCHED_WORLDS["A-lossy"], "E-kill": fetched_e_kill,
+                 "F-oracle": FETCHED_WORLDS["F-oracle"]}
+
+# Every node's counters after each fetch, as the string-keyed counters
+# recorded them.  A counter that stayed zero is absent.
+PINNED_COUNTERS = {
+    "A-lossy": {
+        "client": {"data_in": 30, "data_out": 30, "interests_in": 39, "interests_out": 39},
+        "csc": {"cs_hits": 2, "cs_misses": 36, "data_in": 30, "data_out": 32,
+                "interests_in": 38, "interests_out": 36},
+        "int1": {"cs_misses": 34, "data_in": 30, "data_out": 30, "interests_in": 34,
+                 "interests_out": 34},
+        "int2": {},
+        "origin": {"data_out": 33, "interests_in": 33, "origin_touches": 33},
+    },
+    "E-kill": {
+        "client": {"data_in": 120, "data_out": 120, "interests_in": 120, "interests_out": 120},
+        "csc": {"cs_misses": 120, "data_in": 120, "data_out": 120, "failover_reforwards": 64,
+                "interests_in": 120, "interests_out": 184},
+        "int1": {"cs_misses": 1, "data_in": 1, "data_out": 1, "dropped_dead": 64,
+                 "interests_in": 1, "interests_out": 1},
+        "int2": {"cs_misses": 119, "data_in": 119, "data_out": 119, "interests_in": 119,
+                 "interests_out": 119},
+        "origin": {"data_out": 120, "interests_in": 120, "origin_touches": 120},
+    },
+    "F-oracle": {
+        "client": {"data_in": 30, "data_out": 30, "interests_in": 30, "interests_out": 30},
+        "csc": {"cs_misses": 30, "data_in": 30, "data_out": 30, "interests_in": 30,
+                "interests_out": 30},
+        "int1": {"cs_misses": 1, "data_in": 1, "data_out": 1, "interests_in": 1,
+                 "interests_out": 1},
+        "int2": {"cs_misses": 29, "data_in": 29, "data_out": 29, "interests_in": 29,
+                 "interests_out": 29},
+        "origin": {"data_out": 30, "interests_in": 30, "origin_touches": 30},
+    },
+}
+
+
+@pytest.mark.parametrize("setup", sorted(PINNED_COUNTERS))
+def test_node_counters_match_the_parent(setup):
+    world = PINNED_WORLDS[setup]()
+    got = {name: dict(node.counters) for name, node in world.nodes.items()}
+    assert got == PINNED_COUNTERS[setup]

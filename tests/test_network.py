@@ -30,7 +30,7 @@ def make_net(loss=0.0, delay=10.0, seed=1):
 
 def test_delivery_after_exactly_one_link_delay():
     sim, net, a, b = make_net(delay=25.0)
-    net.transmit("a", "b", "pkt")
+    net.transmit(net.face("a", "b"), "pkt")
     sim.run()
     assert b.received == [(25.0, "a", "pkt")]
 
@@ -38,7 +38,7 @@ def test_delivery_after_exactly_one_link_delay():
 def test_fifo_per_direction():
     sim, net, a, b = make_net()
     for i in range(10):
-        net.transmit("a", "b", i)
+        net.transmit(net.face("a", "b"), i)
     sim.run()
     assert [p for _, _, p in b.received] == list(range(10))
 
@@ -46,10 +46,10 @@ def test_fifo_per_direction():
 def test_loss_zero_never_drops_loss_one_always_drops():
     sim, net, a, b = make_net(loss=0.0)
     for _ in range(1000):
-        assert net.transmit("a", "b", "x")
+        assert net.transmit(net.face("a", "b"), "x")
     sim2, net2, a2, b2 = make_net(loss=1.0)
     for _ in range(1000):
-        assert not net2.transmit("a", "b", "x")
+        assert not net2.transmit(net2.face("a", "b"), "x")
     sim2.run()
     assert b2.received == []
     assert net2.link_between("a", "b").dropped_loss == 1000
@@ -84,7 +84,7 @@ def test_scripted_drops_override_probability():
 
 def test_dead_node_receives_nothing():
     sim, net, a, b = make_net()
-    net.transmit("a", "b", "early")
+    net.transmit(net.face("a", "b"), "early")
     sim.run_until(5.0)
     net.kill_node("b")
     sim.run()
@@ -117,15 +117,15 @@ def test_kill_is_idempotent():
 def test_link_down_drops_everything():
     sim, net, a, b = make_net()
     net.set_link("a", "b", up=False)
-    assert not net.transmit("a", "b", "x")
+    assert not net.transmit(net.face("a", "b"), "x")
     assert net.link_between("a", "b").dropped_down == 1
 
 
 def test_in_flight_packets_keep_old_delay():
     sim, net, a, b = make_net(delay=10.0)
-    net.transmit("a", "b", "old")
+    net.transmit(net.face("a", "b"), "old")
     net.schedule_link_change(5.0, "a", "b", delay=100.0)
-    sim.at(6.0, net.transmit, "a", "b", "new")
+    sim.at(6.0, net.transmit, net.face("a", "b"), "new")
     sim.run()
     assert b.received[0] == (10.0, "a", "old")
     assert b.received[1] == (106.0, "a", "new")
