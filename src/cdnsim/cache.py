@@ -37,10 +37,6 @@ class LruBytes:
         self._entries.move_to_end(key)
         return entry[0]
 
-    def peek(self, key):
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
     def put(self, key, value, size: int, content_size=None):
         """Insert/replace an entry.  Returns the list of evicted keys."""
         if content_size is None:

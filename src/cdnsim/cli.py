@@ -22,7 +22,7 @@ from .experiments import (ExperimentOutput, NdnWorld, collect, execute,
 from .metrics import records_to_csv, summarize, summary_to_csv
 from .scenarios import (EXPERIMENT_SUMMARIES, EXPERIMENTS, PLANES,
                         ConfigError, ScenarioConfig, config_from_dict,
-                        load_config)
+                        load_config, read_config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,24 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
+    """One raw config, the file's keys with the flags over them, parsed once."""
+    flags = {"experiment": args.experiment, "base_seed": args.seed,
+             "repetitions": getattr(args, "reps", None),
+             "plane": getattr(args, "plane", None)}
     if args.config:
-        cfg = load_config(args.config)
-    elif getattr(args, "experiment", None):
-        cfg = config_from_dict({"experiment": args.experiment})
+        raw = read_config(args.config)
+    elif args.experiment:
+        raw = {}
     else:
         raise ConfigError("either --config or --experiment is required")
-    if getattr(args, "experiment", None):
-        if cfg.experiment != args.experiment:
-            cfg = config_from_dict({"experiment": args.experiment})
-    if getattr(args, "seed", None) is not None:
-        cfg.base_seed = args.seed
-    if getattr(args, "reps", None) is not None:
-        if args.reps < 1:
-            raise ConfigError("reps: must be >= 1")
-        cfg.repetitions = args.reps
-    if getattr(args, "plane", None):
-        cfg.plane = args.plane
-    return cfg.validate()
+    if isinstance(raw, dict):  # config_from_dict refuses any other root
+        raw.update((key, v) for key, v in flags.items() if v is not None)
+    return config_from_dict(raw)
 
 
 def _record_key(rec):

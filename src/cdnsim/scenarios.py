@@ -112,172 +112,6 @@ def parse_loss(value, field_name: str = "loss") -> float:
     return result
 
 
-@dataclass
-class TopologyConfig:
-    """Default layout: client -- csc -- {int1, int2} -- origin."""
-    access_delay: float = 50.0
-    csc_int1_delay: float = 10.0
-    csc_int2_delay: float = 10.0
-    int1_origin_delay: float = 10.0
-    int2_origin_delay: float = 50.0
-    csc_int1_loss: float | None = None   # None: use the scenario's upstream loss
-    csc_int2_loss: float | None = None
-
-
-@dataclass
-class ScenarioConfig:
-    experiment: str = "A"
-    plane: str = "both"
-    repetitions: int = 10
-    base_seed: int = 1
-    chunk_size: int = 8800
-    signature_size: int = 32
-    mss: int = 1460
-    window: int = 64
-    max_retries: int = 5
-    pit_lifetime: float = 4000.0
-    strategy_interval: float = 100.0
-    strategy: str = "best-route-failover"
-    file_sizes: list = field(default_factory=lambda: [MB, 10 * MB, 20 * MB, 50 * MB])
-    loss_access: float = 0.0
-    loss_upstream: float = 0.0
-    lossy_access: float = 0.0008
-    lossy_upstream: float = 0.0001
-    cache_nodes: list = field(default_factory=lambda: ["csc", "int1", "int2"])
-    cache_budget: int = 2 * GB
-    topology: TopologyConfig = field(default_factory=TopologyConfig)
-    random_topologies: int = 0
-    switch_fraction: float = 0.1
-    kill_time: float = 3000.0
-    kill_node: str = "int1"
-    ranges: list = field(default_factory=lambda: [MB, 5 * MB, 10 * MB, 20 * MB, 50 * MB])
-    range_mode: str = "bypass"
-    range_repeats: int = 1
-    warm_bytes: int = 50 * MB
-    degrade_time: float = 2000.0
-    degrade_delay: float = 100.0
-    degrade_loss: float = 0.01
-
-    def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment: must be one of {EXPERIMENTS}")
-        if self.plane not in PLANES:
-            raise ConfigError(f"plane: must be one of {PLANES}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions: must be >= 1")
-        if self.chunk_size <= 0:
-            raise ConfigError("chunk_size: must be positive")
-        if self.mss <= 0:
-            raise ConfigError("mss: must be positive")
-        if self.window < 1:
-            raise ConfigError("window: must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries: must be >= 0")
-        if self.pit_lifetime <= 0:
-            raise ConfigError("pit_lifetime: must be positive")
-        if self.strategy_interval <= 0:
-            raise ConfigError("strategy_interval: must be positive")
-        if self.random_topologies < 0:
-            raise ConfigError("random_topologies: must be >= 0")
-        if self.range_repeats < 1:
-            raise ConfigError("range_repeats: must be >= 1")
-        if not self.file_sizes or any(s <= 0 for s in self.file_sizes):
-            raise ConfigError("file_sizes: must be non-empty and positive")
-        if any(r <= 0 for r in self.ranges):
-            raise ConfigError("ranges: must be positive")
-        if self.experiment == "D" and not self.ranges:
-            # D makes one run per range; none would write empty output.
-            raise ConfigError("ranges: must not be empty")
-        if self.experiment == "D" and self.warm_bytes > self.file_sizes[0]:
-            # D warms int1 with the first warm_bytes of file_sizes[0].
-            raise ConfigError("warm_bytes: must not exceed file_sizes[0]")
-        if self.experiment == "D" and any(r > self.file_sizes[0]
-                                          for r in self.ranges):
-            # D requests bytes 0..r-1 of file_sizes[0] for each range r.
-            raise ConfigError("ranges: must not exceed file_sizes[0]")
-        if not 0.0 <= self.switch_fraction <= 1.0:
-            raise ConfigError("switch_fraction: must be in [0, 1]")
-        if self.range_mode not in ("bypass", "full_fetch"):
-            raise ConfigError("range_mode: must be bypass or full_fetch")
-        if self.strategy not in ("best-route-failover", "weighted-best-path"):
-            raise ConfigError("strategy: unknown strategy name")
-        for n in self.cache_nodes:
-            if n not in NODES:
-                raise ConfigError(f"cache_nodes: unknown node {n!r}")
-        if self.kill_node not in NODES:
-            raise ConfigError(f"kill_node: unknown node {self.kill_node!r}")
-        # B warms csc on both planes; D warms int1 on the NDN plane.
-        warmed = None
-        if self.experiment == "B":
-            warmed = "csc"
-        elif self.experiment == "D" and self.plane != "http" and self.warm_bytes > 0:
-            warmed = "int1"
-        if warmed is not None and warmed not in self.cache_nodes:
-            raise ConfigError(f"cache_nodes: experiment {self.experiment} "
-                              f"warms {warmed}, so it must be listed")
-        if warmed is not None and self.cache_budget <= 0:
-            raise ConfigError(f"cache_budget: experiment {self.experiment} "
-                              f"warms {warmed}, so it must be positive")
-        return self
-
-
-# Experiment-specific defaults applied before user keys.
-EXPERIMENT_DEFAULTS = {
-    "A": {},
-    "B": {"file_sizes": [8800], "random_topologies": 5, "repetitions": 1},
-    "C": {"file_sizes": [100 * MB], "repetitions": 1,
-          "cache_nodes": ["int1", "int2"]},
-    "D": {"file_sizes": [100 * MB], "repetitions": 1},
-    "E": {"file_sizes": [20 * MB]},
-    "F": {"file_sizes": [20 * MB], "strategy": "weighted-best-path",
-          "topology": {"csc_int1_delay": 50.0, "csc_int2_delay": 60.0,
-                       "csc_int1_loss": 0.00001, "csc_int2_loss": 0.00001}},
-}
-
-_TOPOLOGY_PARSERS = {
-    "access_delay": parse_duration_ms,
-    "csc_int1_delay": parse_duration_ms,
-    "csc_int2_delay": parse_duration_ms,
-    "int1_origin_delay": parse_duration_ms,
-    "int2_origin_delay": parse_duration_ms,
-    "csc_int1_loss": parse_loss,
-    "csc_int2_loss": parse_loss,
-}
-
-_FIELD_PARSERS = {
-    "experiment": lambda v, n: str(v).upper(),
-    "plane": lambda v, n: str(v),
-    "repetitions": lambda v, n: _parse_int(v, n),
-    "base_seed": lambda v, n: _parse_int(v, n),
-    "chunk_size": parse_bytes,
-    "signature_size": parse_bytes,
-    "mss": parse_bytes,
-    "window": lambda v, n: _parse_int(v, n),
-    "max_retries": lambda v, n: _parse_int(v, n),
-    "pit_lifetime": parse_duration_ms,
-    "strategy_interval": parse_duration_ms,
-    "strategy": lambda v, n: str(v),
-    "file_sizes": lambda v, n: _parse_list(v, n, parse_bytes),
-    "loss_access": parse_loss,
-    "loss_upstream": parse_loss,
-    "lossy_access": parse_loss,
-    "lossy_upstream": parse_loss,
-    "cache_nodes": lambda v, n: _parse_list(v, n, lambda x, m: str(x)),
-    "cache_budget": parse_bytes,
-    "random_topologies": lambda v, n: _parse_int(v, n),
-    "switch_fraction": lambda v, n: _parse_float(v, n),
-    "kill_time": parse_duration_ms,
-    "kill_node": lambda v, n: str(v),
-    "ranges": lambda v, n: _parse_list(v, n, parse_bytes),
-    "range_mode": lambda v, n: str(v),
-    "range_repeats": lambda v, n: _parse_int(v, n),
-    "warm_bytes": parse_bytes,
-    "degrade_time": parse_duration_ms,
-    "degrade_delay": parse_duration_ms,
-    "degrade_loss": parse_loss,
-}
-
-
 def _parse_int(value, field_name):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field_name}: expected an integer, got {value!r}")
@@ -290,22 +124,173 @@ def _parse_float(value, field_name):
     return float(value)
 
 
-def _parse_list(value, field_name, item_parser):
-    if not isinstance(value, list):
-        raise ConfigError(f"{field_name}: expected a list, got {value!r}")
-    return [item_parser(item, f"{field_name}[{i}]") for i, item in enumerate(value)]
+def _parse_str(value, field_name):
+    return str(value)
 
 
-def _parse_topology(raw, base: TopologyConfig) -> TopologyConfig:
+def _list_of(item_parser):
+    def parse(value, field_name):
+        if not isinstance(value, list):
+            raise ConfigError(f"{field_name}: expected a list, got {value!r}")
+        return [item_parser(item, f"{field_name}[{i}]") for i, item in enumerate(value)]
+    return parse
+
+
+def _key(default, parse, check=None):
+    """A config key: its default (a callable makes a fresh one per config), its
+    JSON parser `parse(value, name)` and its check: value -> error or None."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(metadata={"parse": parse, "check": check}, **{kind: default})
+
+
+def _error_if(fault, error):
+    """A check giving error, formatted with the value, where fault(value)."""
+    return lambda v: error.format(v) if fault(v) else None
+
+
+def _at_least(low):
+    return _error_if(lambda v: v < low, f"must be >= {low}")
+
+
+def _one_of(choices, error):
+    return _error_if(lambda v: v not in choices, error)
+
+
+_POSITIVE = _error_if(lambda v: v <= 0, "must be positive")
+
+
+@dataclass
+class TopologyConfig:
+    """Default layout: client -- csc -- {int1, int2} -- origin."""
+    access_delay: float = _key(50.0, parse_duration_ms)
+    csc_int1_delay: float = _key(10.0, parse_duration_ms)
+    csc_int2_delay: float = _key(10.0, parse_duration_ms)
+    int1_origin_delay: float = _key(10.0, parse_duration_ms)
+    int2_origin_delay: float = _key(50.0, parse_duration_ms)
+    csc_int1_loss: float | None = _key(None, parse_loss)  # None: the upstream loss
+    csc_int2_loss: float | None = _key(None, parse_loss)
+
+
+@dataclass
+class ScenarioConfig:
+    """Every config key, declared once, in the order `validate` checks them."""
+    experiment: str = _key("A", lambda v, n: str(v).upper(),
+                           _one_of(EXPERIMENTS, f"must be one of {EXPERIMENTS}"))
+    plane: str = _key("both", _parse_str, _one_of(PLANES, f"must be one of {PLANES}"))
+    repetitions: int = _key(10, _parse_int, _at_least(1))
+    chunk_size: int = _key(8800, parse_bytes, _POSITIVE)
+    mss: int = _key(1460, parse_bytes, _POSITIVE)
+    window: int = _key(64, _parse_int, _at_least(1))
+    max_retries: int = _key(5, _parse_int, _at_least(0))
+    pit_lifetime: float = _key(4000.0, parse_duration_ms, _POSITIVE)
+    strategy_interval: float = _key(100.0, parse_duration_ms, _POSITIVE)
+    random_topologies: int = _key(0, _parse_int, _at_least(0))
+    range_repeats: int = _key(1, _parse_int, _at_least(1))
+    file_sizes: list = _key(lambda: [MB, 10 * MB, 20 * MB, 50 * MB], _list_of(parse_bytes),
+                            _error_if(lambda v: not v or min(v) <= 0,
+                                      "must be non-empty and positive"))
+    ranges: list = _key(lambda: [MB, 5 * MB, 10 * MB, 20 * MB, 50 * MB],
+                        _list_of(parse_bytes),
+                        _error_if(lambda v: any(r <= 0 for r in v), "must be positive"))
+    switch_fraction: float = _key(0.1, _parse_float, _error_if(
+        lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]"))
+    range_mode: str = _key("bypass", _parse_str, _one_of(
+        ("bypass", "full_fetch"), "must be bypass or full_fetch"))
+    strategy: str = _key("best-route-failover", _parse_str, _one_of(
+        ("best-route-failover", "weighted-best-path"), "unknown strategy name"))
+    cache_nodes: list = _key(lambda: ["csc", "int1", "int2"], _list_of(_parse_str),
+                             lambda v: next((f"unknown node {n!r}" for n in v
+                                             if n not in NODES), None))
+    kill_node: str = _key("int1", _parse_str, _one_of(NODES, "unknown node {!r}"))
+    # Parsing is all the checking these get, apart from the cross-field rules.
+    base_seed: int = _key(1, _parse_int)
+    signature_size: int = _key(32, parse_bytes)
+    loss_access: float = _key(0.0, parse_loss)
+    loss_upstream: float = _key(0.0, parse_loss)
+    lossy_access: float = _key(0.0008, parse_loss)
+    lossy_upstream: float = _key(0.0001, parse_loss)
+    cache_budget: int = _key(2 * GB, parse_bytes)
+    topology: TopologyConfig = _key(
+        TopologyConfig, lambda v, n: _parse_fields(TopologyConfig(), v, n + "."))
+    kill_time: float = _key(3000.0, parse_duration_ms)
+    warm_bytes: int = _key(50 * MB, parse_bytes)
+    degrade_time: float = _key(2000.0, parse_duration_ms)
+    degrade_delay: float = _key(100.0, parse_duration_ms)
+    degrade_loss: float = _key(0.01, parse_loss)
+
+    def validate(self):
+        for f in dataclasses.fields(self):
+            check = f.metadata["check"]
+            if check and (error := check(getattr(self, f.name))):
+                raise ConfigError(f"{f.name}: {error}")
+            for name, fault, error in _CROSS_RULES.get(f.name, ()):
+                if fault(self):
+                    raise ConfigError(f"{name}: " + error.format(self))
+        return self
+
+    @property
+    def warmed(self):
+        """The node that B (both planes) or D (NDN plane) warms, or None."""
+        if self.experiment == "D" and self.plane != "http" and self.warm_bytes > 0:
+            return "int1"
+        return "csc" if self.experiment == "B" else None
+
+
+# Rules over several fields, as (field named, fault(cfg), error formatted
+# with cfg).  Each runs right after the check of the field it is listed
+# under; that order decides which field a config with several faults names.
+_CROSS_RULES = {
+    "ranges": [  # D warms int1 with file_sizes[0]'s first warm_bytes, then
+                 # requests its bytes 0..r-1 in one run per range r.
+        ("ranges", lambda c: c.experiment == "D" and not c.ranges, "must not be empty"),
+        ("warm_bytes", lambda c: c.experiment == "D" and c.warm_bytes > c.file_sizes[0],
+         "must not exceed file_sizes[0]"),
+        ("ranges", lambda c: c.experiment == "D"
+         and any(r > c.file_sizes[0] for r in c.ranges), "must not exceed file_sizes[0]"),
+    ],
+    "kill_node": [
+        ("cache_nodes", lambda c: c.warmed not in (None, *c.cache_nodes),
+         "experiment {0.experiment} warms {0.warmed}, so it must be listed"),
+        ("cache_budget", lambda c: c.warmed and c.cache_budget <= 0,
+         "experiment {0.experiment} warms {0.warmed}, so it must be positive"),
+    ],
+}
+
+
+# Experiment-specific defaults applied before user keys.
+EXPERIMENT_DEFAULTS = {
+    "A": {},
+    "B": {"file_sizes": [8800], "random_topologies": 5, "repetitions": 1},
+    "C": {"file_sizes": [100 * MB], "repetitions": 1, "cache_nodes": ["int1", "int2"]},
+    "D": {"file_sizes": [100 * MB], "repetitions": 1},
+    "E": {"file_sizes": [20 * MB]},
+    "F": {"file_sizes": [20 * MB], "strategy": "weighted-best-path",
+          "topology": {"csc_int1_delay": 50.0, "csc_int2_delay": 60.0,
+                       "csc_int1_loss": 0.00001, "csc_int2_loss": 0.00001}},
+}
+
+
+def _parse_fields(obj, raw: dict, prefix: str = ""):
+    """Set each key of raw on obj, in raw's order, through its parser;
+    prefix names the object raw is, if it is a nested one."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"topology: expected an object, got {raw!r}")
-    topo = dataclasses.replace(base)
+        raise ConfigError(f"{prefix[:-1]}: expected an object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in raw.items():
-        parser = _TOPOLOGY_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"topology.{key}: unknown field")
-        setattr(topo, key, parser(value, f"topology.{key}"))
-    return topo
+        if key not in fields:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+        setattr(obj, key, fields[key].metadata["parse"](value, prefix + key))
+    return obj
+
+
+def _merged(defaults: dict, raw: dict) -> dict:
+    """raw over defaults, objects merged key by key; defaults' keys come first."""
+    merged = dict(defaults)
+    for key, value in raw.items():
+        base = merged.get(key)
+        both = isinstance(base, dict) and isinstance(value, dict)
+        merged[key] = _merged(base, value) if both else value
+    return merged
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -313,43 +298,23 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError("config root must be a JSON object")
     if "experiment" not in raw:
         raise ConfigError("experiment: required field missing")
-    experiment = str(raw["experiment"]).upper()
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment: must be one of {EXPERIMENTS}")
-
-    cfg = ScenarioConfig(experiment=experiment)
-    defaults = EXPERIMENT_DEFAULTS[experiment]
-    merged = dict(defaults)
-    for key, value in raw.items():
-        if key == "experiment":
-            continue
-        if key == "topology" and "topology" in merged:
-            base = dict(merged["topology"])
-            if not isinstance(value, dict):
-                raise ConfigError("topology: expected an object")
-            base.update(value)
-            merged["topology"] = base
-        else:
-            merged[key] = value
-
-    for key, value in merged.items():
-        if key == "topology":
-            cfg.topology = _parse_topology(value, cfg.topology)
-            continue
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"{key}: unknown field")
-        setattr(cfg, key, parser(value, key))
+    cfg = _parse_fields(ScenarioConfig(), {"experiment": raw["experiment"]})
+    defaults = EXPERIMENT_DEFAULTS.get(cfg.experiment)
+    if defaults is not None:  # else validate refuses the experiment first
+        _parse_fields(cfg, _merged(defaults, raw))
     return cfg.validate()
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_config(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
-    return config_from_dict(raw)
+
+
+def load_config(path: str) -> ScenarioConfig:
+    return config_from_dict(read_config(path))

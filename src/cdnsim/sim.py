@@ -52,16 +52,6 @@ class Simulator:
             raise SimError("negative delay")
         self.at(self.now + delay, fn, *args)
 
-    def run_until(self, t_end: float):
-        heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            time, _, fn, args = heapq.heappop(heap)
-            self.now = time
-            self.executed += 1
-            fn(*args)
-        if t_end > self.now:
-            self.now = t_end
-
     def run(self):
         heap = self._heap
         while heap:

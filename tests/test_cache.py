@@ -28,14 +28,6 @@ def test_lru_eviction_order():
     assert c.get("a") == "A"
 
 
-def test_peek_does_not_touch_recency():
-    c = LruBytes(100)
-    c.put("a", "A", 50)
-    c.put("b", "B", 50)
-    c.peek("a")
-    assert c.put("c", "C", 50) == ["a"]
-
-
 def test_replacement_updates_accounting():
     c = LruBytes(100)
     c.put("a", "A", 60)

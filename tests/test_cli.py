@@ -121,6 +121,17 @@ def test_run_experiment_flag_without_config(tmp_path):
     assert (tmp_path / "out" / "fig_B.dat").exists()
 
 
+def test_experiment_flag_keeps_the_config_files_other_keys(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "A", "plane": "ndn",
+                                  "repetitions": 1, "file_sizes": ["8800B"]})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--experiment", "B",
+                 "--out", str(out_dir)]) == 0
+    lines = (out_dir / "records.csv").read_text().splitlines()
+    assert len(lines) > 1
+    assert all(line.split(",")[:2] == ["B", "ndn"] for line in lines[1:])
+
+
 def test_trace_writes_tab_separated_events(tmp_path, capsys):
     out = tmp_path / "trace.txt"
     assert main(["trace", "--experiment", "B", "--size", "8800",

@@ -1,10 +1,17 @@
 import json
+import signal
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdnsim.cli import main
-from cdnsim.scenarios import (ConfigError, config_from_dict, load_config,
-                              parse_bytes, parse_duration_ms, parse_loss)
+from cdnsim.experiments import execute, run_specs
+from cdnsim.scenarios import (EXPERIMENTS, NODES, PLANES, ConfigError,
+                              ScenarioConfig, TopologyConfig, config_from_dict,
+                              load_config, parse_bytes, parse_duration_ms,
+                              parse_loss)
 
 MB = 1 << 20
 
@@ -187,3 +194,139 @@ def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, case):
                  "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# --- drawn configs -------------------------------------------------------------
+# One strategy per config key, drawing valid raw JSON values, with sizes
+# small enough for a run to take milliseconds.  Half the drawn configs then
+# get one key replaced by a wrong type or an out-of-range value.
+KB = 1 << 10
+DELAY = st.one_of(st.integers(0, 200), st.just("10ms"))
+LOSS = st.sampled_from([0, 0.0, "0.1%", "1%", 0.05])
+TIME = st.one_of(st.integers(0, 2000), st.sampled_from(["1s", "2s"]))
+# Shared by file_sizes, ranges and warm_bytes, so that D's ranges and
+# warm bytes fall on both sides of file_sizes[0].
+SIZE = st.one_of(st.sampled_from([1, 8800, "8KB", 64 * KB, 100_000, "256KB"]),
+                 st.integers(1, 256 * KB))
+
+TOPOLOGY_KEYS = {
+    "access_delay": DELAY,
+    "csc_int1_delay": DELAY,
+    "csc_int2_delay": DELAY,
+    "int1_origin_delay": DELAY,
+    "int2_origin_delay": DELAY,
+    "csc_int1_loss": LOSS,
+    "csc_int2_loss": LOSS,
+}
+
+SCENARIO_KEYS = {
+    "experiment": st.sampled_from([*EXPERIMENTS, "d"]),
+    "plane": st.sampled_from(PLANES),
+    "repetitions": st.sampled_from([1, 2]),
+    "chunk_size": st.sampled_from([1024, "4KB", 8800]),
+    "mss": st.sampled_from([536, "1460B"]),
+    "window": st.sampled_from([1, 4, 64]),
+    "max_retries": st.sampled_from([0, 2, 5]),
+    "pit_lifetime": st.sampled_from([100, "1s", 4000]),
+    "strategy_interval": st.sampled_from(["10ms", 100, "1s"]),
+    "random_topologies": st.integers(0, 2),
+    "range_repeats": st.integers(1, 2),
+    "file_sizes": st.lists(SIZE, min_size=1, max_size=2),
+    "ranges": st.lists(SIZE, max_size=2),
+    "switch_fraction": st.sampled_from([0, 0.1, 0.5, 1]),
+    "range_mode": st.sampled_from(["bypass", "full_fetch"]),
+    "strategy": st.sampled_from(["best-route-failover", "weighted-best-path"]),
+    "cache_nodes": st.lists(st.sampled_from(NODES), max_size=3, unique=True),
+    "kill_node": st.sampled_from(NODES),
+    "base_seed": st.integers(0, 1 << 32),
+    "signature_size": st.sampled_from([0, 32, 256]),
+    "loss_access": LOSS,
+    "loss_upstream": LOSS,
+    "lossy_access": LOSS,
+    "lossy_upstream": LOSS,
+    "cache_budget": st.sampled_from([0, "64KB", "2GB"]),
+    "topology": st.fixed_dictionaries({}, optional=TOPOLOGY_KEYS),
+    "kill_time": TIME,
+    "warm_bytes": st.one_of(st.just(0), SIZE),
+    "degrade_time": TIME,
+    "degrade_delay": DELAY,
+    "degrade_loss": LOSS,
+}
+
+REFUSED_VALUES = {
+    "experiment": ["Z", 7], "plane": ["quic"], "repetitions": [0, "1", True],
+    "chunk_size": [0, "big"], "mss": [0], "window": [0], "max_retries": [-1],
+    "pit_lifetime": [0, "soon"], "strategy_interval": [0],
+    "random_topologies": [-1], "range_repeats": [0],
+    "file_sizes": [[], [0], "1MB"], "ranges": [[0], ["1MB"]],
+    "switch_fraction": [1.5, "half"], "range_mode": ["partial"],
+    "strategy": ["flooding"], "cache_nodes": [["edge9"], "csc"],
+    "kill_node": ["nobody"], "base_seed": ["seed"], "signature_size": [-1],
+    "loss_access": [1.5, "often"], "cache_budget": ["lots"],
+    "topology": ["flat", {"middle_delay": 5}, {"access_delay": -1},
+                 {"csc_int1_loss": "often"}],
+    "kill_time": [-1], "warm_bytes": ["lots"], "degrade_time": [True],
+    "degrade_delay": ["soon"], "degrade_loss": [2],
+}
+
+# These are always drawn: their shipped defaults are sized for files of
+# many MB, up to 10 repetitions and 6 topologies, for minutes per config.
+_ALWAYS = ("experiment", "file_sizes", "repetitions", "ranges", "warm_bytes",
+           "random_topologies")
+
+
+@st.composite
+def raw_configs(draw):
+    keys = [*_ALWAYS, *draw(st.lists(st.sampled_from(
+        [k for k in SCENARIO_KEYS if k not in _ALWAYS]), max_size=8, unique=True))]
+    raw = {key: draw(SCENARIO_KEYS[key]) for key in keys}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(REFUSED_VALUES)))
+        raw[key] = draw(st.sampled_from(REFUSED_VALUES[key]))
+    return raw
+
+
+class Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise Hang("a drawn config ran for more than 10 s")
+
+
+def _expected_bytes(cfg, rec):
+    """What a successful record must deliver: size_bytes for each fetch it
+    covers.  D's ranges are of file_sizes[0], which no fetch can exceed,
+    and NDN serves them in whole segments."""
+    if rec.experiment != "D":
+        return rec.size_bytes * (2 if rec.experiment == "C" else 1)
+    size = rec.size_bytes
+    if rec.plane == "ndn":
+        size = -(-size // cfg.chunk_size) * cfg.chunk_size
+    return min(size, cfg.file_sizes[0])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=raw_configs())
+def test_drawn_configs_are_refused_or_run(raw):
+    # A new config key must join the draws.
+    assert set(SCENARIO_KEYS) == {f.name for f in fields(ScenarioConfig)}
+    assert set(TOPOLOGY_KEYS) == {f.name for f in fields(TopologyConfig)}
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(10)
+    try:
+        specs = run_specs(cfg)
+        assert specs, "a valid config makes at least one run"
+        for spec in specs:
+            records, _ = execute(cfg, spec)
+            for rec in records:
+                if rec.success:
+                    assert rec.delivered_bytes == _expected_bytes(cfg, rec), rec
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -85,8 +85,7 @@ def test_scripted_drops_override_probability():
 def test_dead_node_receives_nothing():
     sim, net, a, b = make_net()
     net.transmit(net.face("a", "b"), "early")
-    sim.run_until(5.0)
-    net.kill_node("b")
+    net.schedule_kill(5.0, "b")
     sim.run()
     assert b.received == []
     assert b.counters["dropped_dead"] == 1

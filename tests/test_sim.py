@@ -49,18 +49,6 @@ def test_scheduling_in_the_past_raises():
         sim.after(-1.0, lambda: None)
 
 
-def test_run_until_stops_and_advances_clock():
-    sim = Simulator()
-    out = []
-    sim.at(1.0, out.append, 1)
-    sim.at(5.0, out.append, 5)
-    sim.run_until(3.0)
-    assert out == [1]
-    assert sim.now == 3.0
-    sim.run()
-    assert out == [1, 5]
-
-
 def test_empty_run_is_a_noop():
     sim = Simulator()
     sim.run()
