@@ -78,14 +78,3 @@ class ContentObject:
             signature_size=self.signature_size,
             final_block=self.segment_count,
         )
-
-    def segments_for_range(self, start: int, end: int) -> range:
-        """1-based segment indices overlapping the inclusive byte range."""
-        if start > end:
-            return range(0)
-        if start < 0 or end >= self.total_size:
-            raise ValueError("byte range outside content")
-        first = start // self.chunk_size + 1
-        last = end // self.chunk_size + 1
-        return range(first, last + 1)
-

@@ -34,7 +34,7 @@ from .content import ContentObject
 from .httpproxy import HttpNode, HttpPlane, HttpRequest, ProxyConfig
 from .metrics import Fetch, MetricsRecord, max_gap, summarize
 from .names import Name, longest_prefix_match
-from .ndn import ConsumerPipeline, NdnNode, strategy_select
+from .ndn import BEST_ROUTE, ConsumerPipeline, NdnNode, strategy_select
 from .network import Network
 from .scenarios import NODES, ScenarioConfig, TopologyConfig
 from .sim import Simulator, derive_seed, make_rng
@@ -74,11 +74,10 @@ class NdnWorld:
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
-                 strategy: str | None = None, trace: bool = False):
+                 strategy: str = BEST_ROUTE, trace: bool = False):
         self.cfg = cfg
         self.seed = seed
         topo = topo if topo is not None else cfg.topology
-        strategy = strategy or cfg.strategy
         self.sim = Simulator(trace)
         self.net = Network(self.sim, seed)
         self.nodes: dict[str, NdnNode] = {}
@@ -186,10 +185,9 @@ class HttpWorld:
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
-                 lb_policy: str = "round_robin", range_mode: str | None = None,
+                 lb_policy: str = "round_robin", range_mode: str = "bypass",
                  trace: bool = False):
         topo = topo if topo is not None else cfg.topology
-        range_mode = range_mode or cfg.range_mode
         self.sim = Simulator(trace)
         self.net = Network(self.sim, seed)
 
@@ -282,7 +280,7 @@ def run_specs(cfg: ScenarioConfig, reps=None) -> list:
     planes = ["ndn", "http"] if cfg.plane == "both" else [cfg.plane]
     exp, base, size = cfg.experiment, cfg.base_seed, cfg.file_sizes[0]
     if exp == "A":
-        losses = {"lossless": (cfg.loss_access, cfg.loss_upstream),
+        losses = {"lossless": (0.0, 0.0),
                   "lossy": (cfg.lossy_access, cfg.lossy_upstream)}
         return [RunSpec("A", plane, fs, mode, rep,
                         derive_seed(base, "A", plane, fs, mode, rep),
@@ -294,12 +292,13 @@ def run_specs(cfg: ScenarioConfig, reps=None) -> list:
         return [RunSpec("B", plane, size, f"{state}-topo{ti}", rep,
                         derive_seed(base, "B", plane, ti, state, rep),
                         world={"topo": topo},
-                        warm=("csc", size) if state == "warm" else None)
+                        warm=(cfg.warmed, size) if state == "warm" else None)
                 for rep in reps for ti, topo in enumerate(topos)
                 for state in ("cold", "warm") for plane in planes]
     specs = []
     if exp == "D":
         repeats = tuple((f"r{i}",) for i in range(cfg.range_repeats))
+        warm = (cfg.warmed, cfg.warm_bytes) if cfg.warmed else None
         for rep in reps:
             for nbytes in cfg.ranges:
                 byte_range = (0, nbytes - 1)
@@ -308,7 +307,7 @@ def run_specs(cfg: ScenarioConfig, reps=None) -> list:
                         specs.append(RunSpec(
                             "D", plane, size, "ndn-warm", rep,
                             derive_seed(base, "D", plane, nbytes, rep),
-                            warm=("int1", cfg.warm_bytes),
+                            warm=warm,
                             byte_range=byte_range, fetches=repeats))
                         continue
                     for mode in ("bypass", "full_fetch"):

@@ -52,7 +52,6 @@ class ProxyConfig:
 class HttpRequest:
     url: str
     byte_range: Optional[tuple] = None  # inclusive (start, end)
-    cacheable: bool = True
 
     @property
     def range_bytes(self) -> Optional[int]:
@@ -86,9 +85,6 @@ class HttpNode(Node):
         choice = ups[self._rr_index % len(ups)]
         self._rr_index += 1
         return choice
-
-    def on_packet(self, packet, from_name):  # request/response timing is
-        pass                                 # orchestrated by HttpPlane
 
 
 def _fail_waiters(waits: dict, name: str):
@@ -244,13 +240,12 @@ class HttpPlane:
                 error(reason)
                 return
             size = result.delivered_bytes
-            if cache is not None and request.cacheable:
+            if cache is not None:
                 cache.put(request.url, size, size)
                 node.count("bytes_cached", size)
             reply(size)
 
-        upstream_request = request if passthrough else HttpRequest(
-            request.url, cacheable=request.cacheable)
+        upstream_request = request if passthrough else HttpRequest(request.url)
         self._fetch_upstream(node, upstream_request, got_body)
 
     def _fetch_upstream(self, node, request, on_done, attempt: int = 0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cache import ContentStore
-from .content import ContentObject, Data, Interest, DEFAULT_INTEREST_LIFETIME_MS
+from .content import ContentObject, Data, Interest
 from .metrics import Fetch
 from .names import Name, longest_prefix_match
 from .network import Face, Node
@@ -340,9 +340,7 @@ class ConsumerPipeline:
     def __init__(self, node: NdnNode, prefix: Name, *, chunk_size: int,
                  byte_range=None, window: int = DEFAULT_WINDOW,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 rto_min: float = DEFAULT_RTO_MIN_MS,
                  initial_rto: float = DEFAULT_INITIAL_RTO_MS,
-                 lifetime: float = DEFAULT_INTEREST_LIFETIME_MS,
                  seed: int = 0, on_done=None):
         if window < 1:
             raise ValueError("window must be positive")
@@ -352,9 +350,7 @@ class ConsumerPipeline:
         self.byte_range = byte_range
         self.window = window
         self.max_retries = max_retries
-        self.rto_min = rto_min
         self.initial_rto = initial_rto
-        self.lifetime = lifetime
         self.rng = make_rng(seed, "pipeline", node.name, str(prefix))
         self.on_done = on_done
         self.result = Fetch()
@@ -375,7 +371,7 @@ class ConsumerPipeline:
     def rto(self) -> float:
         if self.srtt is None:
             return self.initial_rto
-        return max(2.0 * self.srtt, self.rto_min)
+        return max(2.0 * self.srtt, DEFAULT_RTO_MIN_MS)
 
     def start(self):
         self._t0 = self.sim.now
@@ -403,8 +399,7 @@ class ConsumerPipeline:
     def _issue(self, seg: int):
         now = self.sim.now
         interest = Interest(self.prefix.with_segment(seg),
-                            nonce=self.rng.getrandbits(64),
-                            lifetime=self.lifetime)
+                            nonce=self.rng.getrandbits(64))
         self._in_flight[seg] = now
         self._sent_count[seg] = self._sent_count.get(seg, 0) + 1
         self.result.interests_sent += 1

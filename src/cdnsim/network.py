@@ -50,9 +50,6 @@ class Link:
         # (overrides the probability draw); used by tests and oracles.
         self.scripted_drops = None
 
-    def other(self, name: str) -> str:
-        return self.b if name == self.a else self.a
-
     def should_drop(self, src: str, dst: str) -> bool:
         """Consume one loss draw for a packet src->dst."""
         direction = (src, dst)
@@ -104,9 +101,6 @@ class Node:
 
     def on_packet(self, packet, from_name: str):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def on_kill(self):
-        pass
 
 
 class Network:
@@ -178,7 +172,6 @@ class Network:
         node.death_time = self.sim.now
         if self.sim.trace is not None:
             self.sim.log(name, "killed")
-        node.on_kill()
         for hook in list(self.kill_hooks):
             hook(name)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 MB = 1 << 20
@@ -59,8 +60,8 @@ def parse_duration_ms(value, field_name: str = "duration") -> float:
             raise ConfigError(f"{field_name}: cannot parse duration {value!r}") from None
     else:
         raise ConfigError(f"{field_name}: expected a duration, got {value!r}")
-    if result < 0:
-        raise ConfigError(f"{field_name}: duration must be non-negative")
+    if not 0 <= result < math.inf:  # refuses NaN too
+        raise ConfigError(f"{field_name}: duration must be finite and non-negative")
     return result
 
 
@@ -76,7 +77,7 @@ def parse_bytes(value, field_name: str = "size") -> int:
             if text.endswith(suffix):
                 try:
                     result = int(float(text[: -len(suffix)]) * factor)
-                except ValueError:
+                except (ValueError, OverflowError):  # NaN or infinite
                     raise ConfigError(f"{field_name}: cannot parse size {value!r}") from None
                 break
         else:
@@ -194,10 +195,6 @@ class ScenarioConfig:
                         _error_if(lambda v: any(r <= 0 for r in v), "must be positive"))
     switch_fraction: float = _key(0.1, _parse_float, _error_if(
         lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]"))
-    range_mode: str = _key("bypass", _parse_str, _one_of(
-        ("bypass", "full_fetch"), "must be bypass or full_fetch"))
-    strategy: str = _key("best-route-failover", _parse_str, _one_of(
-        ("best-route-failover", "weighted-best-path"), "unknown strategy name"))
     cache_nodes: list = _key(lambda: ["csc", "int1", "int2"], _list_of(_parse_str),
                              lambda v: next((f"unknown node {n!r}" for n in v
                                              if n not in NODES), None))
@@ -205,8 +202,6 @@ class ScenarioConfig:
     # Parsing is all the checking these get, apart from the cross-field rules.
     base_seed: int = _key(1, _parse_int)
     signature_size: int = _key(32, parse_bytes)
-    loss_access: float = _key(0.0, parse_loss)
-    loss_upstream: float = _key(0.0, parse_loss)
     lossy_access: float = _key(0.0008, parse_loss)
     lossy_upstream: float = _key(0.0001, parse_loss)
     cache_budget: int = _key(2 * GB, parse_bytes)
@@ -264,7 +259,7 @@ EXPERIMENT_DEFAULTS = {
     "C": {"file_sizes": [100 * MB], "repetitions": 1, "cache_nodes": ["int1", "int2"]},
     "D": {"file_sizes": [100 * MB], "repetitions": 1},
     "E": {"file_sizes": [20 * MB]},
-    "F": {"file_sizes": [20 * MB], "strategy": "weighted-best-path",
+    "F": {"file_sizes": [20 * MB],
           "topology": {"csc_int1_delay": 50.0, "csc_int2_delay": 60.0,
                        "csc_int1_loss": 0.00001, "csc_int2_loss": 0.00001}},
 }

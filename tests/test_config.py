@@ -1,4 +1,5 @@
 import json
+import math
 import signal
 from dataclasses import fields
 
@@ -72,7 +73,6 @@ def test_minimal_config_gets_experiment_defaults():
     assert cfg.repetitions == 1
     assert cfg.cache_nodes == ["int1", "int2"]
     cfg_f = config_from_dict({"experiment": "F"})
-    assert cfg_f.strategy == "weighted-best-path"
     assert cfg_f.topology.csc_int1_delay == 50.0
     assert cfg_f.topology.csc_int2_loss == pytest.approx(1e-5)
 
@@ -177,6 +177,14 @@ REFUSED = {
                       "file_sizes": ["2MB"], "ranges": ["1MB"],
                       "warm_bytes": "1MB"},
     "cache_budget-b": {"experiment": "B", "cache_budget": 0},
+    # A NaN time compares false with every time in the event heap, so
+    # when it runs is undefined; an infinite size crashed the parser.
+    "kill_time-nan": {"experiment": "E", "kill_time": "nan"},
+    "kill_time-json-NaN": {"experiment": "E", "kill_time": math.nan},
+    "pit_lifetime-nan": {"experiment": "A", "pit_lifetime": "nan"},
+    "topology.access_delay-inf": {"experiment": "A",
+                                  "topology": {"access_delay": "inf"}},
+    "file_sizes-inf": {"experiment": "A", "file_sizes": ["infMB"]},
 }
 
 
@@ -195,6 +203,23 @@ def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, case):
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+# Keys that no run read: D runs both HTTP range modes and F runs
+# weighted-best-path from their run specs, and A's lossless mode is lossless.
+REMOVED_KEYS = {
+    "range_mode": {"experiment": "D", "range_mode": "full_fetch"},
+    "strategy": {"experiment": "F", "strategy": "weighted-best-path"},
+    "loss_access": {"experiment": "A", "loss_access": "1%"},
+    "loss_upstream": {"experiment": "A", "loss_upstream": "1%"},
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_are_refused(tmp_path, capsys, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(REMOVED_KEYS[key]))
+    assert main(["validate-config", str(path)]) == 2
+    assert f"{key}: unknown field" in capsys.readouterr().err
 
 # --- drawn configs -------------------------------------------------------------
 # One strategy per config key, drawing valid raw JSON values, with sizes
@@ -234,14 +259,10 @@ SCENARIO_KEYS = {
     "file_sizes": st.lists(SIZE, min_size=1, max_size=2),
     "ranges": st.lists(SIZE, max_size=2),
     "switch_fraction": st.sampled_from([0, 0.1, 0.5, 1]),
-    "range_mode": st.sampled_from(["bypass", "full_fetch"]),
-    "strategy": st.sampled_from(["best-route-failover", "weighted-best-path"]),
     "cache_nodes": st.lists(st.sampled_from(NODES), max_size=3, unique=True),
     "kill_node": st.sampled_from(NODES),
     "base_seed": st.integers(0, 1 << 32),
     "signature_size": st.sampled_from([0, 32, 256]),
-    "loss_access": LOSS,
-    "loss_upstream": LOSS,
     "lossy_access": LOSS,
     "lossy_upstream": LOSS,
     "cache_budget": st.sampled_from([0, "64KB", "2GB"]),
@@ -259,13 +280,12 @@ REFUSED_VALUES = {
     "pit_lifetime": [0, "soon"], "strategy_interval": [0],
     "random_topologies": [-1], "range_repeats": [0],
     "file_sizes": [[], [0], "1MB"], "ranges": [[0], ["1MB"]],
-    "switch_fraction": [1.5, "half"], "range_mode": ["partial"],
-    "strategy": ["flooding"], "cache_nodes": [["edge9"], "csc"],
+    "switch_fraction": [1.5, "half"], "cache_nodes": [["edge9"], "csc"],
     "kill_node": ["nobody"], "base_seed": ["seed"], "signature_size": [-1],
-    "loss_access": [1.5, "often"], "cache_budget": ["lots"],
+    "lossy_access": [1.5, "often"], "cache_budget": ["lots"],
     "topology": ["flat", {"middle_delay": 5}, {"access_delay": -1},
                  {"csc_int1_loss": "often"}],
-    "kill_time": [-1], "warm_bytes": ["lots"], "degrade_time": [True],
+    "kill_time": [-1, "nan"], "warm_bytes": ["lots"], "degrade_time": [True],
     "degrade_delay": ["soon"], "degrade_loss": [2],
 }
 
@@ -310,9 +330,11 @@ def _expected_bytes(cfg, rec):
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw=raw_configs())
 def test_drawn_configs_are_refused_or_run(raw):
-    # A new config key must join the draws.
-    assert set(SCENARIO_KEYS) == {f.name for f in fields(ScenarioConfig)}
-    assert set(TOPOLOGY_KEYS) == {f.name for f in fields(TopologyConfig)}
+    # The draws follow the schema: a new config key must join them, a
+    # removed one must leave them, and they are drawn in declaration order.
+    assert list(SCENARIO_KEYS) == [f.name for f in fields(ScenarioConfig)]
+    assert list(TOPOLOGY_KEYS) == [f.name for f in fields(TopologyConfig)]
+    assert set(REFUSED_VALUES) <= set(SCENARIO_KEYS)
     try:
         cfg = config_from_dict(raw)
     except ConfigError:

@@ -47,18 +47,6 @@ def test_invalid_content():
         ContentObject(PREFIX, 10, chunk_size=0)
 
 
-def test_segments_for_range():
-    c = ContentObject(PREFIX, 100_000, chunk_size=8800)
-    assert list(c.segments_for_range(0, 8799)) == [1]
-    assert list(c.segments_for_range(0, 8800)) == [1, 2]
-    assert list(c.segments_for_range(8800, 17599)) == [2]
-    assert list(c.segments_for_range(5, 3)) == []
-    with pytest.raises(ValueError):
-        c.segments_for_range(0, 100_000)
-    with pytest.raises(ValueError):
-        c.segments_for_range(-1, 10)
-
-
 def test_interest_validation():
     with pytest.raises(ValueError):
         Interest(PREFIX.with_segment(1), nonce=1, lifetime=0)
@@ -81,18 +69,3 @@ def test_segmentation_reconstructs_total(chunk, nseg, data):
     assert (n - 1) * chunk < total <= n * chunk
     assert sum(c.payload_of(k) for k in range(1, n + 1)) == total
     assert all(1 <= c.payload_of(k) <= chunk for k in range(1, n + 1))
-
-
-@given(st.integers(min_value=1, max_value=10**4),
-       st.integers(min_value=1, max_value=10**3),
-       st.data())
-def test_range_segments_cover_exactly(total, chunk, data):
-    c = ContentObject(PREFIX, total, chunk_size=chunk)
-    start = data.draw(st.integers(min_value=0, max_value=total - 1))
-    end = data.draw(st.integers(min_value=start, max_value=total - 1))
-    segs = list(c.segments_for_range(start, end))
-    # the chosen segments span [start, end] and none is superfluous
-    lo = (segs[0] - 1) * chunk
-    hi = min(segs[-1] * chunk, total) - 1
-    assert lo <= start and end <= hi
-    assert lo + chunk > start and hi - c.payload_of(segs[-1]) < end + 1

@@ -37,10 +37,9 @@ def make_world(size=MB, caches=("csc", "int1", "int2"), lb="round_robin",
     return sim, net, plane
 
 
-def get(sim, plane, byte_range=None, cacheable=True, url=URL):
+def get(sim, plane, byte_range=None, url=URL):
     out = []
-    plane.get("client", "csc",
-              HttpRequest(url, byte_range=byte_range, cacheable=cacheable),
+    plane.get("client", "csc", HttpRequest(url, byte_range=byte_range),
               out.append)
     sim.run()
     assert out
@@ -90,7 +89,7 @@ def test_round_robin_touches_each_upstream_once():
 def test_round_robin_fairness_over_many_requests():
     sim, net, plane = make_world(size=1000, caches=())
     for _ in range(20):
-        get(sim, plane, cacheable=False)
+        get(sim, plane)
     assert net.nodes["int1"].counters["requests_upstream"] == \
         net.nodes["int2"].counters["requests_upstream"]
 
@@ -98,17 +97,9 @@ def test_round_robin_fairness_over_many_requests():
 def test_single_policy_always_first_upstream():
     sim, net, plane = make_world(size=1000, caches=(), lb="single")
     for _ in range(4):
-        get(sim, plane, cacheable=False)
+        get(sim, plane)
     assert net.nodes["int1"].counters["requests_upstream"] == 4
     assert "requests_upstream" not in net.nodes["int2"].counters
-
-
-def test_uncacheable_response_not_stored():
-    sim, net, plane = make_world()
-    meta = get(sim, plane, cacheable=False)
-    assert meta.success
-    assert net.nodes["csc"].cache.content_used == 0
-    assert net.nodes["int1"].cache.content_used == 0
 
 
 def test_bypass_ranges_always_reach_origin():
