@@ -3,8 +3,10 @@
 Links have infinite bandwidth: a delivered packet arrives exactly one
 link delay after it was sent.  Loss is an independent per-packet Bernoulli
 draw from a per-link-direction RNG, so traffic on one link never perturbs
-another link's draws.  Node kill is fail-stop: the node drops everything
-from its kill time on and emits nothing.
+another link's draws.  A lossless, unscripted direction consumes no draw,
+so `Link.draw_losses` books a TCP round's sends on it in one step.  Node
+kill is fail-stop: the node drops everything from its kill time on and
+emits nothing.
 
 A packet goes out on a `Face`: one direction of a link, as its sender
 sees it.  A face holds the link and the names of its two ends, so a send
@@ -23,6 +25,14 @@ import weakref
 from .sim import Simulator, make_rng
 
 
+def check_link_values(delay, loss):
+    """Refuse a negative or NaN delay and a loss outside [0, 1]; None is unset."""
+    if delay is not None and not delay >= 0:
+        raise ValueError("link delay must be non-negative")
+    if loss is not None and not 0.0 <= loss <= 1.0:
+        raise ValueError("link loss must be in [0, 1]")
+
+
 class Link:
     __slots__ = (
         "a", "b", "delay", "loss", "up",
@@ -30,10 +40,7 @@ class Link:
     )
 
     def __init__(self, a: str, b: str, delay: float, loss: float, base_seed: int):
-        if delay < 0:
-            raise ValueError("link delay must be non-negative")
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError("link loss must be in [0, 1]")
+        check_link_values(delay, loss)
         self.a = a
         self.b = b
         self.delay = delay
@@ -60,6 +67,14 @@ class Link:
         if self.loss <= 0.0:
             return False
         return self._rng[direction].random() < self.loss
+
+    def draw_losses(self, src: str, dst: str, segs) -> list:
+        """The members of `segs` lost src->dst: one `should_drop` each, in order."""
+        if self.loss <= 0.0 and self.scripted_drops is None:
+            self.tx[(src, dst)] += len(segs)  # such a draw uses no random()
+            return []
+        should_drop = self.should_drop
+        return [seg for seg in segs if should_drop(src, dst)]
 
 
 class Face:
@@ -182,13 +197,10 @@ class Network:
 
     def set_link(self, a: str, b: str, delay=None, loss=None, up=None):
         link = self.link_between(a, b)
+        check_link_values(delay, loss)
         if delay is not None:
-            if delay < 0:
-                raise ValueError("link delay must be non-negative")
             link.delay = delay
         if loss is not None:
-            if not 0.0 <= loss <= 1.0:
-                raise ValueError("link loss must be in [0, 1]")
             link.loss = loss
         if up is not None:
             link.up = up
@@ -199,4 +211,5 @@ class Network:
     def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None, up=None):
         if (a, b) not in self.faces:
             raise ValueError(f"unknown link {a}-{b}")
+        check_link_values(delay, loss)
         self.sim.at(t, self.set_link, a, b, delay, loss, up)

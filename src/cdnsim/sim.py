@@ -42,7 +42,7 @@ class Simulator:
         self.executed = 0
 
     def at(self, time: float, fn, *args):
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SimError(f"cannot schedule at {time} before now={self.now}")
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn, args))

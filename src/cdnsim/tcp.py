@@ -9,9 +9,10 @@ the next window.  Bandwidth is infinite; only delay and loss matter.
 
 A round's bookkeeping is per round, not per segment: the arriving run is
 marked received with one slice assignment and one shared `(time, mss)`
-arrival entry, and the cumulative ACK jumps to the first hole.  Loss is
-still drawn per segment, one `Link.should_drop` per segment sent, so the
-RNG stream and the link's transmit counts do not depend on the batching.
+arrival entry, and the cumulative ACK jumps to the first hole.  A lossless,
+unscripted direction consumes no draw, so the round books its sends in one
+step; any other draws per segment sent (`Link.draw_losses`), so the RNG
+stream and the link's transmit counts do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -197,8 +198,7 @@ class TcpTransfer:
         if not link.up:
             delivered, lost = [], batch
         else:
-            should_drop, sender, receiver = link.should_drop, self.sender, self.receiver
-            lost = [seg for seg in batch if should_drop(sender, receiver)]
+            lost = link.draw_losses(self.sender, self.receiver, batch)
             delivered = batch
             if lost:
                 dropped = set(lost)

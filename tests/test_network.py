@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim.experiments import NdnWorld
 from cdnsim.names import Name
-from cdnsim.network import Network, Node
+from cdnsim.network import Link, Network, Node
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import SimError, Simulator
 
@@ -142,6 +143,26 @@ def test_link_parameter_validation():
         net.schedule_link_change(1.0, "a", "nobody")
 
 
+@pytest.mark.parametrize("delay, loss", [
+    (float("nan"), None), (-1.0, None), (None, float("nan")), (None, 2.0),
+    (7.0, 2.0), (float("nan"), 0.5),
+])
+def test_link_change_checks_every_value_first(delay, loss):
+    """A refused change leaves the link as it was, and a scheduled one is
+    refused when it is scheduled, not later inside `sim.run()`."""
+    sim, net, a, b = make_net(loss=0.1, delay=10.0)
+    link = net.link_between("a", "b")
+    with pytest.raises(ValueError):
+        net.set_link("a", "b", delay=delay, loss=loss)
+    assert (link.delay, link.loss) == (10.0, 0.1)
+    with pytest.raises(ValueError):
+        net.schedule_link_change(5.0, "a", "b", delay=delay, loss=loss)
+    assert sim._heap == []
+    with pytest.raises(ValueError):
+        Link("a", "b", 10.0 if delay is None else delay,
+             0.0 if loss is None else loss, base_seed=1)
+
+
 def test_duplicate_node_rejected():
     sim, net, a, b = make_net()
     with pytest.raises(ValueError):
@@ -194,3 +215,30 @@ def test_untraced_fetch_formats_no_trace_text(monkeypatch):
     kinds = {line.split("\t")[2] for line in world.sim.trace}
     assert {"tx", "rx", "drop-loss", "killed", "link-change"} <= kinds
     assert len(calls) > len(world.sim.trace) // 2
+
+
+def twin_links(loss, scripted):
+    """Two links that draw the same streams."""
+    twins = [Link("a", "b", 10.0, loss, base_seed=3) for _ in range(2)]
+    for link in twins:
+        link.scripted_drops = scripted
+    return twins
+
+
+@settings(max_examples=200, deadline=None)
+@given(loss=st.sampled_from([0.0, 0.001, 0.2, 1.0]),
+       scripted=st.none() | st.fixed_dictionaries({
+           ("a", "b"): st.frozensets(st.integers(0, 80), max_size=20),
+           ("b", "a"): st.frozensets(st.integers(0, 80), max_size=20)}),
+       calls=st.lists(st.tuples(st.sampled_from([("a", "b"), ("b", "a")]),
+                                st.lists(st.integers(1, 10_000), max_size=40)),
+                      max_size=5))
+def test_draw_losses_equals_one_should_drop_per_member(loss, scripted, calls):
+    bulk, single = twin_links(loss, scripted)
+    for (src, dst), segs in calls:
+        want = [seg for seg in segs if single.should_drop(src, dst)]
+        assert bulk.draw_losses(src, dst, segs) == want
+    assert bulk.tx == single.tx
+    assert bulk.dropped_loss == single.dropped_loss
+    for d in (("a", "b"), ("b", "a")):
+        assert bulk._rng[d].getstate() == single._rng[d].getstate()

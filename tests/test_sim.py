@@ -49,6 +49,15 @@ def test_scheduling_in_the_past_raises():
         sim.after(-1.0, lambda: None)
 
 
+def test_nan_time_is_refused():
+    sim = Simulator()
+    with pytest.raises(SimError):
+        sim.at(float("nan"), lambda: None)
+    with pytest.raises(SimError):
+        sim.after(float("nan"), lambda: None)
+    assert sim._heap == []
+
+
 def test_empty_run_is_a_noop():
     sim = Simulator()
     sim.run()

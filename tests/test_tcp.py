@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdnsim.network import Network, Node
 from cdnsim.sim import Simulator
@@ -298,13 +298,15 @@ class PerSegmentTransfer(TcpTransfer):
                 self.on_done(self.result)
 
 
-def transfer_outcome(cls, nbytes, delay, loss, drops, kill):
+def transfer_outcome(cls, nbytes, delay, loss, drops, kill, changes=()):
     sim, net = make_net(delay=delay, loss=loss)
     link = net.link_between("a", "b")
     if drops is not None:
         link.scripted_drops = {("a", "b"): drops}
     if kill is not None:
         net.schedule_kill(*kill)
+    for t, new_loss in changes:
+        net.schedule_link_change(t, "a", "b", loss=new_loss)
     conn = preestablished(net, "a", "b")
     out, first = [], []
     cls(net, conn, "a", nbytes, on_first_byte=first.append,
@@ -313,19 +315,29 @@ def transfer_outcome(cls, nbytes, delay, loss, drops, kill):
     return out, first, dict(link.tx), link.dropped_loss
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(nbytes=st.one_of(
            st.sampled_from([1, DEFAULT_MSS, DEFAULT_MSS + 1, 3 << 20]),
            st.integers(1, 5 << 20)),
        delay=st.sampled_from([1.0, 10.0, 25.0, 50.0]),
        loss=st.sampled_from([0.0, 0.001, 0.2]),
        drops=st.none() | st.frozensets(st.integers(0, 300), max_size=30),
-       kill=st.none() | st.tuples(st.floats(0.0, 2000.0), st.sampled_from(["a", "b"])))
-def test_bulk_rounds_match_per_segment_reference(nbytes, delay, loss, drops, kill):
+       kill=st.none() | st.tuples(st.floats(0.0, 2000.0), st.sampled_from(["a", "b"])),
+       changes=st.lists(st.tuples(st.floats(0.0, 1000.0),
+                                  st.sampled_from([0.0, 0.01, 0.2])), max_size=2))
+@example(nbytes=3 << 20, delay=10.0, loss=0.0, drops=None, kill=None,
+         changes=[(100.0, 0.01)])
+@example(nbytes=3 << 20, delay=10.0, loss=0.01, drops=None, kill=None,
+         changes=[(100.0, 0.0)])
+def test_bulk_rounds_match_per_segment_reference(nbytes, delay, loss, drops, kill,
+                                                 changes):
     """Booking a round in bulk gives the per-segment loop's result, the same
-    loss draws and the same link transmit counts."""
-    got = transfer_outcome(TcpTransfer, nbytes, delay, loss, drops, kill)
-    want = transfer_outcome(PerSegmentTransfer, nbytes, delay, loss, drops, kill)
+    loss draws and the same link transmit counts, also when the loss changes
+    mid-transfer (0 -> 1% is F's degrade): each round draws at the loss of
+    its own send time."""
+    got = transfer_outcome(TcpTransfer, nbytes, delay, loss, drops, kill, changes)
+    want = transfer_outcome(PerSegmentTransfer, nbytes, delay, loss, drops, kill,
+                            changes)
     assert got == want
     (res,), _, _, _ = got
     assert res.delivered_bytes == sum(b for _, b in res.arrivals)
