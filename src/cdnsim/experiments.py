@@ -27,12 +27,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import statistics
 import weakref
 from dataclasses import dataclass, field
 
 from .content import ContentObject
 from .httpproxy import HttpNode, HttpPlane, HttpRequest, ProxyConfig
-from .metrics import Fetch, MetricsRecord, max_gap, summarize
+from .metrics import Fetch, MetricsRecord, max_gap
 from .names import Name, longest_prefix_match
 from .ndn import BEST_ROUTE, ConsumerPipeline, NdnNode, strategy_select
 from .network import Network
@@ -445,15 +446,24 @@ def run_experiment(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
 def plot_files(cfg: ScenarioConfig, records) -> dict:
     """fig_<X>.dat from records in spec order: C lists each run's cache
     bytes, B the median TTFB per group, the others the median completion
-    time per group."""
+    time per group.  Groups are `summarize`'s, in its order; only the
+    successful runs' values count, and a group with none is left out."""
     if cfg.experiment == "C":
         lines = ["# plane seed cache1_bytes cache2_bytes"]
         lines += [f"{r.plane} {r.seed} {r.cache1_bytes} {r.cache2_bytes}"
                   for r in records]
     else:
-        metric, col = ("ttfb", 7) if cfg.experiment == "B" else ("completion", 10)
-        rows, _ = summarize(records)
+        metric, attr = (("ttfb", "ttfb_ms") if cfg.experiment == "B"
+                        else ("completion", "completion_ms"))
+        groups: dict = {}
+        for r in records:
+            value = getattr(r, attr)
+            if r.success and value is not None:
+                key = (r.experiment, r.plane, r.size_bytes, r.mode)
+                groups.setdefault(key, []).append(value)
         lines = [f"# plane mode size_bytes {metric}_median_ms"]
-        lines += [f"{row[1]} {row[3]} {row[2]} {format(row[col], '.10g')}"
-                  for row in rows if row[col] is not None]
+        for key in sorted(groups):
+            _, plane, size, mode = key
+            median = statistics.median(groups[key])
+            lines.append(f"{plane} {mode} {size} {format(median, '.10g')}")
     return {f"fig_{cfg.experiment}.dat": "\n".join(lines) + "\n"}

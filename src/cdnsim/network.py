@@ -3,8 +3,10 @@
 Links have infinite bandwidth: a delivered packet arrives exactly one
 link delay after it was sent.  Loss is an independent per-packet Bernoulli
 draw from a per-link-direction RNG, so traffic on one link never perturbs
-another link's draws.  A lossless, unscripted direction consumes no draw,
-so `Link.draw_losses` books a TCP round's sends on it in one step.  Node
+another link's draws.  A lossless, unscripted direction consumes no draw
+and builds no random stream (a stream is built on its direction's first
+lossy draw), so `Link.draw_losses` books a TCP round's sends on it in one
+step, and a world whose links are all lossless builds no stream.  Node
 kill is fail-stop: the node drops everything from its kill time on and
 emits nothing.
 
@@ -34,8 +36,17 @@ def check_link_values(delay, loss):
 
 
 class Link:
+    """A two-way link with one loss stream and one send count per direction.
+
+    A direction's stream is `make_rng(seed, "link", src, dst)`, built on
+    the first draw that consumes a `random()`.  A lossless or scripted
+    direction never consumes one, so it never builds its stream, and a
+    direction whose loss rises from 0 mid-run draws the same sequence as
+    one that was lossy from the start.
+    """
+
     __slots__ = (
-        "a", "b", "delay", "loss", "up",
+        "a", "b", "delay", "loss", "up", "seed",
         "_rng", "tx", "dropped_loss", "dropped_down", "scripted_drops",
     )
 
@@ -46,10 +57,8 @@ class Link:
         self.delay = delay
         self.loss = loss
         self.up = True
-        self._rng = {
-            (a, b): make_rng(base_seed, "link", a, b),
-            (b, a): make_rng(base_seed, "link", b, a),
-        }
+        self.seed = base_seed
+        self._rng = {}  # direction -> its stream, once a draw has used it
         self.tx = {(a, b): 0, (b, a): 0}
         self.dropped_loss = 0
         self.dropped_down = 0
@@ -66,7 +75,12 @@ class Link:
             return idx in self.scripted_drops.get(direction, ())
         if self.loss <= 0.0:
             return False
-        return self._rng[direction].random() < self.loss
+        try:
+            return self._rng[direction].random() < self.loss
+        except KeyError:
+            # The module-level name, looked up now, so a patch of it applies.
+            rng = self._rng[direction] = make_rng(self.seed, "link", src, dst)
+            return rng.random() < self.loss
 
     def draw_losses(self, src: str, dst: str, segs) -> list:
         """The members of `segs` lost src->dst: one `should_drop` each, in order."""

@@ -12,7 +12,10 @@ marked received with one slice assignment and one shared `(time, mss)`
 arrival entry, and the cumulative ACK jumps to the first hole.  A lossless,
 unscripted direction consumes no draw, so the round books its sends in one
 step; any other draws per segment sent (`Link.draw_losses`), so the RNG
-stream and the link's transmit counts do not depend on the batching.
+stream and the link's transmit counts do not depend on the batching.  A
+lost segment, SYN or SYN-ACK counts in the link's `dropped_loss`, or in
+`dropped_down` when the link is down, as a packet lost in
+`Network.transmit` does.
 """
 
 from __future__ import annotations
@@ -98,14 +101,22 @@ class _Handshake:
         sim, link = self.net.sim, self.link
         timeout = SYN_TIMEOUT_MS * (2 ** (n - 1))
         sim.after(timeout, self.attempt, n + 1)
-        if link.up and not link.should_drop(self.client, self.server):
+        if not link.up:
+            link.dropped_down += 1
+        elif link.should_drop(self.client, self.server):
+            link.dropped_loss += 1
+        else:
             sim.after(link.delay, self.syn_arrive)
 
     def syn_arrive(self):
         if self.done or not self.net.nodes[self.server].alive:
             return
         link = self.link
-        if link.up and not link.should_drop(self.server, self.client):
+        if not link.up:
+            link.dropped_down += 1
+        elif link.should_drop(self.server, self.client):
+            link.dropped_loss += 1
+        else:
             self.net.sim.after(link.delay, self.established)
 
     def established(self):
@@ -197,10 +208,12 @@ class TcpTransfer:
         link = conn.link
         if not link.up:
             delivered, lost = [], batch
+            link.dropped_down += len(batch)
         else:
             lost = link.draw_losses(self.sender, self.receiver, batch)
             delivered = batch
             if lost:
+                link.dropped_loss += len(lost)
                 dropped = set(lost)
                 delivered = [seg for seg in batch if seg not in dropped]
         t = self.sim.now

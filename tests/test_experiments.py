@@ -1,12 +1,16 @@
 import gc
 import math
 import weakref
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdnsim.experiments import (NdnWorld, HttpWorld, experiment_b_topologies,
-                                run_experiment, switch_segment)
-from cdnsim.metrics import records_to_csv
+from cdnsim import network
+from cdnsim.experiments import (NdnWorld, HttpWorld, execute, experiment_b_topologies,
+                                plot_files, run_experiment, run_specs, switch_segment)
+from cdnsim.metrics import MetricsRecord, records_to_csv, summarize
+from cdnsim.network import Link
 from cdnsim.scenarios import config_from_dict
 
 MB = 1 << 20
@@ -296,3 +300,98 @@ def test_finished_http_world_is_freed_without_the_cycle_collector(setup):
     finally:
         if enabled:
             gc.enable()
+
+
+# --- a run builds only what it reads --------------------------------------------
+
+@pytest.mark.parametrize("experiment, plane", [("B", "both"), ("A", "ndn"), ("A", "http")])
+def test_lossless_worlds_build_no_link_stream(monkeypatch, experiment, plane):
+    """Every B link is lossless, as are A's lossless runs: their worlds
+    build and run without a link stream.  A's lossy run builds some, so
+    the count is taken where the links call."""
+    built = []
+    make_rng = network.make_rng
+    monkeypatch.setattr(network, "make_rng",
+                        lambda *labels: built.append(labels) or make_rng(*labels))
+    cfg = config_from_dict({"experiment": experiment, "plane": plane,
+                            "file_sizes": ["256KB"], "repetitions": 1})
+    specs = run_specs(cfg)
+    for spec in specs:
+        if spec.mode != "lossy":
+            records, _ = execute(cfg, spec)
+            assert all(r.success for r in records)
+    assert built == []
+    if experiment == "A":
+        execute(cfg, next(spec for spec in specs if spec.mode == "lossy"))
+        assert built and all(labels[1] == "link" for labels in built)
+
+
+def test_http_links_count_their_losses(monkeypatch):
+    """TCP rounds and handshakes count each lost segment and SYN in the
+    link's `dropped_loss`, as `Network.transmit` does for NDN."""
+    drops = Counter()
+    should_drop = Link.should_drop
+
+    def counted(link, src, dst):
+        dropped = should_drop(link, src, dst)
+        drops[id(link)] += dropped
+        return dropped
+
+    monkeypatch.setattr(Link, "should_drop", counted)
+    cfg = config_from_dict({"experiment": "A"})
+    world = HttpWorld(cfg, seed=1, size=4 * MB, loss_access=0.05)
+    assert world.fetch().success
+    access = world.net.link_between("client", "csc")
+    assert access.dropped_loss > 0
+    links = {id(face.link): face.link for face in world.net.faces.values()}
+    for key, link in links.items():
+        assert (link.dropped_loss, link.dropped_down) == (drops[key], 0)
+
+
+def reference_plot_files(cfg, records) -> dict:
+    """plot_files as it was: `summarize`'s rows, one median column kept."""
+    if cfg.experiment == "C":
+        lines = ["# plane seed cache1_bytes cache2_bytes"]
+        lines += [f"{r.plane} {r.seed} {r.cache1_bytes} {r.cache2_bytes}"
+                  for r in records]
+    else:
+        metric, col = ("ttfb", 7) if cfg.experiment == "B" else ("completion", 10)
+        rows, _ = summarize(records)
+        lines = [f"# plane mode size_bytes {metric}_median_ms"]
+        lines += [f"{row[1]} {row[3]} {row[2]} {format(row[col], '.10g')}"
+                  for row in rows if row[col] is not None]
+    return {f"fig_{cfg.experiment}.dat": "\n".join(lines) + "\n"}
+
+
+PLOT_CONFIGS = {exp: config_from_dict({"experiment": exp}) for exp in "ABCDEF"}
+# Times are float ms.  A subnormal completion time would make the reference's
+# goodput infinite, which its pstdev cannot take.
+metric_values = st.none() | st.just(0.0) | st.floats(1e-3, 1e6)
+
+
+@st.composite
+def plotted_records(draw):
+    exp = draw(st.sampled_from(sorted(PLOT_CONFIGS)))
+    records = []
+    for seed in range(draw(st.integers(0, 30))):
+        rec = MetricsRecord(exp, draw(st.sampled_from(["ndn", "http"])),
+                            draw(st.sampled_from([8800, MB])),
+                            draw(st.sampled_from(["cold-topo0", "warm-topo1", "lossy"])),
+                            seed)
+        rec.ttfb_ms = draw(metric_values)
+        rec.completion_ms = draw(metric_values)
+        rec.delivered_bytes = draw(st.integers(0, MB))
+        rec.cache1_bytes, rec.cache2_bytes = draw(st.tuples(st.integers(0, MB),
+                                                            st.integers(0, MB)))
+        rec.success = draw(st.booleans())
+        records.append(rec)
+    return PLOT_CONFIGS[exp], records
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=plotted_records())
+def test_plot_files_equal_the_summarize_reference(drawn):
+    """Failed runs, missing values and groups whose runs all failed, in
+    any record order: the plot text is what `summarize`'s medians gave."""
+    cfg, records = drawn
+    assert plot_files(cfg, records) == reference_plot_files(cfg, records)

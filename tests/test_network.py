@@ -240,5 +240,25 @@ def test_draw_losses_equals_one_should_drop_per_member(loss, scripted, calls):
         assert bulk.draw_losses(src, dst, segs) == want
     assert bulk.tx == single.tx
     assert bulk.dropped_loss == single.dropped_loss
-    for d in (("a", "b"), ("b", "a")):
+    assert bulk._rng.keys() == single._rng.keys()
+    for d in single._rng:
         assert bulk._rng[d].getstate() == single._rng[d].getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 200), loss=st.sampled_from([0.01, 0.2, 1.0]),
+       direction=st.sampled_from([("a", "b"), ("b", "a")]))
+def test_stream_built_on_first_lossy_draw_matches_a_lossy_link(n, loss, direction):
+    """n lossless sends, then `set_link` raises the loss: the direction
+    draws what a link built with that loss draws (F's degrade, 0 -> 1%)."""
+    _, net, _, _ = make_net(loss=0.0, seed=5)
+    link = net.link_between("a", "b")
+    assert link.draw_losses(*direction, range(n)) == []
+    assert link._rng == {}
+    net.set_link("a", "b", loss=loss)
+    fresh = Link("a", "b", 10.0, loss, base_seed=5)
+    got = [link.should_drop(*direction) for _ in range(1000)]
+    assert got == [fresh.should_drop(*direction) for _ in range(1000)]
+    assert any(got)
+    assert list(link._rng) == [direction]
+    assert link.tx[direction] == n + 1000

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdnsim.network import Network, Node
 from cdnsim.sim import Simulator
-from cdnsim.tcp import (DEFAULT_MSS, TcpTransfer, preestablished, tcp_open)
+from cdnsim.tcp import (DEFAULT_MSS, SYN_RETRY_BUDGET, TcpTransfer, preestablished,
+                        tcp_open)
 
 
 class Host(Node):
@@ -45,6 +46,7 @@ def test_lost_syn_retries_after_one_second():
     net.link_between("a", "b").scripted_drops = {("a", "b"): {0}}
     conn = open_conn(sim, net)
     assert conn.established_at == 1050.0
+    assert net.link_between("a", "b").dropped_loss == 1
 
 
 def test_lost_synack_also_retries():
@@ -52,6 +54,26 @@ def test_lost_synack_also_retries():
     net.link_between("a", "b").scripted_drops = {("b", "a"): {0}}
     conn = open_conn(sim, net)
     assert conn.established_at == 1050.0
+    assert net.link_between("a", "b").dropped_loss == 1
+
+
+def test_down_link_counts_each_syn_and_segment_it_drops():
+    sim, net = make_net()
+    link = net.link_between("a", "b")
+    net.set_link("a", "b", up=False)
+    assert open_conn(sim, net) is None
+    assert (link.dropped_down, link.dropped_loss) == (SYN_RETRY_BUDGET, 0)
+    for cls in (TcpTransfer, PerSegmentTransfer):
+        sim, net = make_net()
+        link = net.link_between("a", "b")
+        net.set_link("a", "b", up=False)
+        out = []
+        cls(net, preestablished(net, "a", "b"), "a", 10 * DEFAULT_MSS,
+            on_done=out.append).start()
+        sim.run()
+        assert out[0].reason == "peer unreachable"
+        # A window of 10, then two RTO rounds of one segment each.
+        assert (link.dropped_down, link.dropped_loss) == (12, 0)
 
 
 def test_dead_server_refuses_after_budget():
@@ -264,10 +286,14 @@ class PerSegmentTransfer(TcpTransfer):
         delay = link.delay
         delivered, lost = [], []
         for seg in batch:
-            if link.up and not link.should_drop(self.sender, self.receiver):
-                delivered.append(seg)
-            else:
+            if not link.up:
+                link.dropped_down += 1
                 lost.append(seg)
+            elif link.should_drop(self.sender, self.receiver):
+                link.dropped_loss += 1
+                lost.append(seg)
+            else:
+                delivered.append(seg)
         arrival_time = t + delay
         if delivered:
             self.sim.at(arrival_time, self._arrive, delivered)
