@@ -1,25 +1,21 @@
 """Scenario harness: builds the two planes on the CDN topology and runs
-the six comparative experiments.
+the six comparative experiments (A-F, summarized in
+`scenarios.EXPERIMENT_SUMMARIES`).
 
 Topology (defaults): client --50ms-- csc --10ms-- {int1, int2} -- origin,
-with int1 10 ms and int2 50 ms from the origin.  The NDN plane runs a
-consumer pipeline against forwarding nodes with Content Stores; the HTTP
-plane runs a forward proxy (csc), two reverse proxies (int1, int2) and an
-origin behind TCP hops.
-
-Experiments:
-  A  completion time with and without link loss
-  B  time to first byte, cold/warm, over randomized topologies
-  C  intermediate cache bytes after a mid-transfer source switch
-  D  byte-range retrieval: segment reuse vs bypass / full-fetch proxies
-  E  upstream killed mid-transfer: failover vs broken connection
-  F  weighted path selection under scripted path degradation
+with int1 10 ms and int2 50 ms from the origin.  `World` builds what both
+planes share, the simulator, the network, its nodes and these links, and
+`arm` schedules a run's kill and link degrade.  `NdnWorld` runs a consumer
+pipeline against forwarding nodes with Content Stores; `HttpWorld` runs a
+forward proxy (csc), two reverse proxies (int1, int2) and an origin behind
+TCP hops.  Each plane defines `warm(node, nbytes)`, `fetch(byte_range,
+label)`, `cache_bytes(node)` and `detail(spec, result)`.
 
 Each experiment is a list of run specs (`run_specs`): one world each,
 with its seed, its scenario events and the fetches that make its records.
-`execute` runs one spec; `collect` joins the results, in spec order, into
-records, plot data and details, so a pool that executes the specs in
-parallel writes the same output as a serial run.
+`execute` runs one spec on its plane's world; `collect` joins the results,
+in spec order, into records, plot data and details, so a pool that
+executes the specs in parallel writes the same output as a serial run.
 """
 
 from __future__ import annotations
@@ -63,6 +59,15 @@ def _link_specs(topo: TopologyConfig, loss_access: float, loss_upstream: float):
     ]
 
 
+# The NDN plane's routes toward the content: node -> [(neighbor, cost)].
+_ROUTES = {"client": [("csc", 10)], "csc": [("int1", 10), ("int2", 20)],
+           "int1": [("origin", 10)], "int2": [("origin", 10)]}
+
+
+def _cache_capacity(cfg: ScenarioConfig, name: str) -> int:
+    return cfg.cache_budget if name in cfg.cache_nodes else 0
+
+
 def _mark_faces_dead(nodes: dict, killed: str):
     # Oracle failure signal: neighbors learn immediately that the
     # face toward the dead node is gone.
@@ -71,48 +76,72 @@ def _mark_faces_dead(nodes: dict, killed: str):
             node.mark_face_dead(node.face_of[killed])
 
 
-class NdnWorld:
+class World:
+    """What both planes build: a simulator, and a network holding `nodes`
+    (by name) on the topology's five links.  See the module docstring."""
+
+    def __init__(self, cfg: ScenarioConfig, seed: int, nodes: dict,
+                 topo: TopologyConfig | None, loss_access: float,
+                 loss_upstream: float, trace: bool):
+        self.cfg = cfg
+        self.seed = seed
+        self.sim = Simulator(trace)
+        self.net = Network(self.sim, seed)
+        self.nodes = nodes
+        for node in nodes.values():
+            self.net.add_node(node)
+        for a, b, delay, loss in _link_specs(topo or cfg.topology,
+                                             loss_access, loss_upstream):
+            self.net.add_link(a, b, delay, loss)
+
+    def arm(self, spec: RunSpec):
+        """Schedule the spec's kill, then its degrade of csc--int1."""
+        if spec.kill is not None:
+            self.net.schedule_kill(*spec.kill)
+        if spec.degrade is not None:
+            self.degrade(*spec.degrade)
+
+    def degrade(self, when: float, delay: float, loss: float):
+        self.net.schedule_link_change(when, "csc", "int1", delay=delay, loss=loss)
+
+    @property
+    def origin_touches(self) -> int:
+        return self.nodes["origin"].counters.get("origin_touches", 0)
+
+
+class NdnWorld(World):
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
                  strategy: str = BEST_ROUTE, trace: bool = False):
-        self.cfg = cfg
-        self.seed = seed
-        topo = topo if topo is not None else cfg.topology
-        self.sim = Simulator(trace)
-        self.net = Network(self.sim, seed)
-        self.nodes: dict[str, NdnNode] = {}
-        for name in NODES:
-            capacity = cfg.cache_budget if name in cfg.cache_nodes else 0
-            node = NdnNode(name, cs_capacity=capacity, strategy=strategy,
-                           pit_lifetime=cfg.pit_lifetime)
-            self.net.add_node(node)
-            self.nodes[name] = node
-        for a, b, delay, loss in _link_specs(topo, loss_access, loss_upstream):
-            self.net.add_link(a, b, delay, loss)
-            self.nodes[a].add_face(b)
-            self.nodes[b].add_face(a)
+        nodes = {name: NdnNode(name, cs_capacity=_cache_capacity(cfg, name),
+                               strategy=strategy, pit_lifetime=cfg.pit_lifetime)
+                 for name in NODES}
+        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream, trace)
+        for a, b in self.net.faces:
+            nodes[a].add_face(b)
         self.content = ContentObject(CONTENT_PREFIX, size,
                                      chunk_size=cfg.chunk_size,
                                      signature_size=cfg.signature_size)
-        self.nodes["origin"].publish(self.content)
-        self.nodes["client"].add_route(CONTENT_PREFIX,
-                                       [(self.face("client", "csc"), 10)])
-        self.nodes["csc"].add_route(CONTENT_PREFIX,
-                                    [(self.face("csc", "int1"), 10),
-                                     (self.face("csc", "int2"), 20)])
-        self.nodes["int1"].add_route(CONTENT_PREFIX,
-                                     [(self.face("int1", "origin"), 10)])
-        self.nodes["int2"].add_route(CONTENT_PREFIX,
-                                     [(self.face("int2", "origin"), 10)])
+        nodes["origin"].publish(self.content)
+        for name, hops in _ROUTES.items():
+            faces = nodes[name].face_of
+            nodes[name].add_route(CONTENT_PREFIX, [(faces[b], cost) for b, cost in hops])
         # Hooks on the network must not hold the world: see Node.net.
-        self.net.kill_hooks.append(functools.partial(_mark_faces_dead, self.nodes))
+        self.net.kill_hooks.append(functools.partial(_mark_faces_dead, nodes))
         self.finished = False
         self.chosen_series = []   # (time_ms, neighbor name chosen by csc)
         self._fetches = 0
 
-    def face(self, node: str, neighbor: str) -> int:
-        return self.nodes[node].face_of[neighbor]
+    def arm(self, spec: RunSpec):
+        super().arm(spec)
+        if spec.switch_segment is not None:
+            self.script_switch(spec.switch_segment)
+
+    def degrade(self, when: float, delay: float, loss: float):
+        # Scheduled first, the oracle's first tick runs before a change at 0.
+        self.install_quality_oracle()
+        super().degrade(when, delay, loss)
 
     def install_quality_oracle(self):
         """Every strategy interval, give csc each face's true delay, loss
@@ -139,7 +168,7 @@ class NdnWorld:
     def script_switch(self, k: int):
         """Send the first fetch's segments 1..k from csc to int1 and every
         other Interest to int2: C's mid-transfer source switch."""
-        face1, face2 = self.face("csc", "int1"), self.face("csc", "int2")
+        face1, face2 = (self.nodes["csc"].face_of[b] for b in ("int1", "int2"))
         world = weakref.ref(self)  # csc keeps the chooser; it must not keep the world
 
         def choose(interest):
@@ -149,9 +178,10 @@ class NdnWorld:
 
         self.nodes["csc"].scripted_chooser = choose
 
-    def warm(self, node_name: str, segments):
+    def warm(self, node_name: str, nbytes: int):
+        """Cache the whole segments that hold the first `nbytes` at node_name."""
         cs = self.nodes[node_name].cs
-        for k in segments:
+        for k in range(1, -(-nbytes // self.cfg.chunk_size) + 1):
             cs.insert(self.content.segment_data(k))
 
     def fetch(self, byte_range=None, label: str = "fetch") -> Fetch:
@@ -173,48 +203,46 @@ class NdnWorld:
         self.finished = False
         return holder["result"]
 
-    @property
-    def origin_touches(self) -> int:
-        return self.nodes["origin"].origin_touches
-
     def cache_bytes(self, node_name: str) -> int:
         cs = self.nodes[node_name].cs
         return cs.content_used if cs is not None else 0
 
+    def detail(self, spec: RunSpec, result: Fetch) -> dict:
+        """E's last fetch and F's oracle choices."""
+        detail = {}
+        if spec.kill is not None:
+            detail["ndn_results"] = result
+        if spec.degrade is not None:
+            detail["ndn_series"] = list(self.chosen_series)
+        return detail
 
-class HttpWorld:
+
+class HttpWorld(World):
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
                  lb_policy: str = "round_robin", range_mode: str = "bypass",
                  trace: bool = False):
-        topo = topo if topo is not None else cfg.topology
-        self.sim = Simulator(trace)
-        self.net = Network(self.sim, seed)
+        def proxy(name, kind, upstreams, policy):
+            return HttpNode(name, cache_capacity=_cache_capacity(cfg, name),
+                            proxy=ProxyConfig(kind, upstreams, lb_policy=policy,
+                                              range_mode=range_mode))
 
-        def cap(name):
-            return cfg.cache_budget if name in cfg.cache_nodes else 0
-
-        self.nodes = {}
-        self.nodes["client"] = HttpNode("client")
-        self.nodes["csc"] = HttpNode(
-            "csc", cache_capacity=cap("csc"),
-            proxy=ProxyConfig("forward", ["int1", "int2"], lb_policy=lb_policy,
-                              range_mode=range_mode))
-        for name in ("int1", "int2"):
-            self.nodes[name] = HttpNode(
-                name, cache_capacity=cap(name),
-                proxy=ProxyConfig("reverse", ["origin"], lb_policy="single",
-                                  range_mode=range_mode))
-        self.nodes["origin"] = HttpNode("origin")
-        for node in self.nodes.values():
-            self.net.add_node(node)
-        for a, b, delay, loss in _link_specs(topo, loss_access, loss_upstream):
-            self.net.add_link(a, b, delay, loss)
-        self.nodes["origin"].publish(CONTENT_URL, size)
+        nodes = {"client": HttpNode("client"),
+                 "csc": proxy("csc", "forward", ["int1", "int2"], lb_policy),
+                 "int1": proxy("int1", "reverse", ["origin"], "single"),
+                 "int2": proxy("int2", "reverse", ["origin"], "single"),
+                 "origin": HttpNode("origin")}
+        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream, trace)
+        nodes["origin"].publish(CONTENT_URL, size)
         self.plane = HttpPlane(self.net, mss=cfg.mss)
 
-    def fetch(self, byte_range=None) -> Fetch:
+    def warm(self, node_name: str, nbytes: int):
+        """Cache the first `nbytes` of the content at node_name."""
+        self.nodes[node_name].warm_cache(CONTENT_URL, nbytes)
+
+    def fetch(self, byte_range=None, label: str = "fetch") -> Fetch:
+        # Only the NDN consumer draws randomness, seeded by the label.
         holder = {}
         self.plane.get("client", "csc",
                        HttpRequest(CONTENT_URL, byte_range=byte_range),
@@ -222,13 +250,21 @@ class HttpWorld:
         self.sim.run()
         return holder["result"]
 
-    @property
-    def origin_touches(self) -> int:
-        return self.nodes["origin"].counters.get("origin_touches", 0)
-
     def cache_bytes(self, node_name: str) -> int:
         cache = self.nodes[node_name].cache
         return cache.content_used if cache is not None else 0
+
+    def detail(self, spec: RunSpec, result: Fetch) -> dict:
+        """F's upstream at each strategy tick: the chain picks its upstream
+        once and stays on the degraded path for the life of the transfer."""
+        if spec.degrade is None:
+            return {}
+        ticks = []
+        t = 0.0
+        while result.completion is not None and t <= result.completion:
+            ticks.append((t, "int1"))
+            t += self.cfg.strategy_interval
+        return {"http_series": ticks}
 
 
 def experiment_b_topologies(cfg: ScenarioConfig):
@@ -346,36 +382,15 @@ _REPORTS_ORIGIN = {"A", "C", "D"}
 _REPORTS_CACHE = {"C", "D"}
 
 
-def _fetch(world, byte_range, label: str) -> Fetch:
-    # Only the NDN consumer draws randomness, seeded by the fetch's label.
-    if isinstance(world, NdnWorld):
-        return world.fetch(byte_range, label=label)
-    return world.fetch(byte_range)
-
-
 def execute(cfg: ScenarioConfig, spec: RunSpec):
     """Run one spec.  Returns (records, detail): the spec's records in
     fetch order and the per-run values that `collect` appends to the
     experiment's details."""
-    ndn = spec.plane == "ndn"
-    world = (NdnWorld if ndn else HttpWorld)(cfg, spec.seed, spec.size,
-                                             **spec.world)
+    world = (NdnWorld if spec.plane == "ndn" else HttpWorld)(
+        cfg, spec.seed, spec.size, **spec.world)
     if spec.warm is not None:
-        node, nbytes = spec.warm
-        if ndn:
-            world.warm(node, range(1, math.ceil(nbytes / cfg.chunk_size) + 1))
-        else:
-            world.nodes[node].warm_cache(CONTENT_URL, nbytes)
-    if spec.kill is not None:
-        world.net.schedule_kill(*spec.kill)
-    if spec.degrade is not None:
-        if ndn:
-            world.install_quality_oracle()
-        when, delay, loss = spec.degrade
-        world.net.schedule_link_change(when, "csc", "int1",
-                                       delay=delay, loss=loss)
-    if spec.switch_segment is not None:
-        world.script_switch(spec.switch_segment)
+        world.warm(*spec.warm)
+    world.arm(spec)
 
     size = spec.size
     if spec.byte_range is not None:
@@ -383,7 +398,7 @@ def execute(cfg: ScenarioConfig, spec: RunSpec):
     records = []
     touched = 0
     for i, labels in enumerate(spec.fetches):
-        results = [_fetch(world, spec.byte_range, label) for label in labels]
+        results = [world.fetch(spec.byte_range, label) for label in labels]
         rec = MetricsRecord(spec.experiment, spec.plane, size, spec.mode,
                             spec.rep * len(spec.fetches) + i)
         if len(results) == 1:
@@ -403,23 +418,7 @@ def execute(cfg: ScenarioConfig, spec: RunSpec):
                                      window=(kill_time - 500.0,
                                              kill_time + 1500.0))
         records.append(rec)
-
-    detail = {}
-    result = results[-1]
-    if spec.kill is not None and ndn:
-        detail["ndn_results"] = result
-    if spec.degrade is not None and ndn:
-        detail["ndn_series"] = list(world.chosen_series)
-    elif spec.degrade is not None:
-        # The chain picks its upstream once; it stays on the degraded
-        # path for the life of the transfer.
-        ticks = []
-        t = 0.0
-        while result.completion is not None and t <= result.completion:
-            ticks.append((t, "int1"))
-            t += cfg.strategy_interval
-        detail["http_series"] = ticks
-    return records, detail
+    return records, world.detail(spec, results[-1])
 
 
 def collect(cfg: ScenarioConfig, results) -> ExperimentOutput:

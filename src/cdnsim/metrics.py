@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
@@ -103,7 +104,8 @@ def summarize(records):
 
     Returns (rows, empty_group_warnings).  Groups whose runs all failed
     are omitted and counted as warnings; failed runs never contribute to
-    the statistics.
+    the statistics.  A successful run's infinite or NaN value raises a
+    ValueError that names the metric and the group.
     """
     groups: dict = {}
     for rec in records:
@@ -118,9 +120,10 @@ def summarize(records):
             warnings += 1
             continue
         row = list(key) + [len(ok), len(members) - len(ok)]
-        for metric in (lambda r: r.ttfb_ms, lambda r: r.completion_ms,
-                       lambda r: r.goodput):
-            values = [metric(r) for r in ok if metric(r) is not None]
+        for name in ("ttfb_ms", "completion_ms", "goodput"):
+            values = [v for r in ok if (v := getattr(r, name)) is not None]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} of group {key} is not finite")
             if values:
                 row += [statistics.fmean(values), statistics.median(values),
                         statistics.pstdev(values)]

@@ -334,7 +334,8 @@ class ConsumerPipeline:
     after `max_retries` retransmissions.  The total segment count is
     learned from the final-block field of the first Data packet, so the
     pipeline starts with a single Interest and opens the window after
-    that first round trip.
+    that first round trip.  Once its node is killed, no Interest leaves
+    it, but its timers still run: the fetch fails on its retry limit.
     """
 
     def __init__(self, node: NdnNode, prefix: Name, *, chunk_size: int,
@@ -405,7 +406,8 @@ class ConsumerPipeline:
         self.result.interests_sent += 1
         self.result.last_send_time[seg] = now
         self.sim.after(self.rto, self._timeout, seg, now)
-        self.node.receive(interest, APP_FACE)
+        if self.node.alive:
+            self.node.receive(interest, APP_FACE)
 
     def _on_data(self, data: Data):
         if self.done:

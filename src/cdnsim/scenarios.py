@@ -184,7 +184,9 @@ class ScenarioConfig:
     window: int = _key(64, _parse_int, _at_least(1))
     max_retries: int = _key(5, _parse_int, _at_least(0))
     pit_lifetime: float = _key(4000.0, parse_duration_ms, _POSITIVE)
-    strategy_interval: float = _key(100.0, parse_duration_ms, _POSITIVE)
+    # F's oracle ticks once per interval for the whole fetch.
+    strategy_interval: float = _key(100.0, parse_duration_ms,
+                                    _error_if(lambda v: v < 1.0, "must be at least 1ms"))
     random_topologies: int = _key(0, _parse_int, _at_least(0))
     range_repeats: int = _key(1, _parse_int, _at_least(1))
     file_sizes: list = _key(lambda: [MB, 10 * MB, 20 * MB, 50 * MB], _list_of(parse_bytes),

@@ -162,6 +162,9 @@ def test_load_config_round_trip(tmp_path):
 # empty output; each must now be refused by the field its id names.
 REFUSED = {
     "strategy_interval": {"experiment": "F", "strategy_interval": 0},
+    # F's oracle ticks once per interval: this one never reached the end.
+    "strategy_interval-tiny": {"experiment": "F", "strategy_interval": "0.000000001ms",
+                               "file_sizes": ["64KB"], "repetitions": 1, "plane": "ndn"},
     "warm_bytes": {"experiment": "D", "file_sizes": ["1MB"],
                    "warm_bytes": "2MB"},
     "range_repeats": {"experiment": "D", "range_repeats": 0},
@@ -277,7 +280,7 @@ SCENARIO_KEYS = {
 REFUSED_VALUES = {
     "experiment": ["Z", 7], "plane": ["quic"], "repetitions": [0, "1", True],
     "chunk_size": [0, "big"], "mss": [0], "window": [0], "max_retries": [-1],
-    "pit_lifetime": [0, "soon"], "strategy_interval": [0],
+    "pit_lifetime": [0, "soon"], "strategy_interval": [0, "0.5ms"],
     "random_topologies": [-1], "range_repeats": [0],
     "file_sizes": [[], [0], "1MB"], "ranges": [[0], ["1MB"]],
     "switch_fraction": [1.5, "half"], "cache_nodes": [["edge9"], "csc"],

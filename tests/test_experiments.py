@@ -129,6 +129,47 @@ def test_experiment_f_series_switches_at_degradation():
     assert {up for _, up in http_series} == {"int1"}
 
 
+def test_oracle_tick_at_the_degrade_time_sees_the_old_link():
+    """`arm` schedules F's first oracle tick before the degrade, so at a
+    degrade at time 0 the first tick still sees csc--int1 as it was."""
+    cfg = config_from_dict({"experiment": "F", "plane": "ndn", "file_sizes": ["1MB"],
+                            "repetitions": 1, "degrade_time": 0})
+    _, detail = execute(cfg, run_specs(cfg)[0])
+    assert detail["ndn_series"][:2] == [(0.0, "int1"), (100.0, "int2")]
+
+
+def test_killed_client_sends_nothing():
+    """The client dies at 120 ms, before segment 1's Data reaches it: its
+    pipeline still times out and retries, but no Interest leaves the dead
+    node, so csc, which cached segment 1 on the way, answers none."""
+    cfg = config_from_dict({"experiment": "E", "plane": "ndn", "file_sizes": ["1MB"],
+                            "repetitions": 1, "kill_node": "client",
+                            "kill_time": "120ms"})
+    world = NdnWorld(cfg, seed=1, size=MB)
+    world.arm(run_specs(cfg)[0])
+    result = world.fetch()
+    assert not result.success
+    assert result.reason == "segment 1 exceeded 5 retries"
+    assert result.completion == 6000.0
+    assert world.nodes["csc"].cs_hits == 0
+    assert world.net.link_between("client", "csc").tx[("client", "csc")] == 1
+
+
+@pytest.mark.parametrize("plane", ["ndn", "http"])
+def test_warm_caches_the_leading_bytes_on_both_planes(plane):
+    """NDN caches the whole segments that cover the first nbytes, HTTP
+    exactly nbytes."""
+    cfg = config_from_dict({"experiment": "B", "file_sizes": ["100KB"]})
+    chunk, size = cfg.chunk_size, cfg.file_sizes[0]
+    for nbytes in (1, chunk, chunk + 1, size):
+        world = (NdnWorld if plane == "ndn" else HttpWorld)(cfg, seed=1, size=size)
+        world.warm("csc", nbytes)
+        segments = -(-nbytes // chunk)
+        expected = min(segments * chunk, size) if plane == "ndn" else nbytes
+        assert world.cache_bytes("csc") == expected
+        assert world.cache_bytes("int1") == 0
+
+
 def test_run_experiment_is_deterministic():
     cfg = config_from_dict({"experiment": "A", "file_sizes": [MB],
                             "repetitions": 2, "lossy_access": "2%"})
@@ -182,7 +223,7 @@ def fetched_a_lossy():
 
 def fetched_b_warm():
     world = small_world("B")
-    world.warm("csc", range(1, world.content.segment_count + 1))
+    world.warm("csc", world.content.total_size)
     world.fetch()
     return world
 
@@ -197,7 +238,7 @@ def fetched_c_switch():
 
 def fetched_d_warm_range():
     world = small_world("D", {"ranges": ["100KB"], "warm_bytes": "50KB"})
-    world.warm("int1", range(1, 11))
+    world.warm("int1", 10 * world.cfg.chunk_size)  # segments 1..10
     for label in ("r0", "r1"):
         world.fetch((0, 100 * KB - 1), label=label)
     return world

@@ -1,4 +1,7 @@
+import math
 import statistics
+
+import pytest
 
 from cdnsim.metrics import (CSV_COLUMNS, MetricsRecord, max_gap,
                             records_to_csv, summarize, summary_to_csv)
@@ -77,6 +80,21 @@ def test_summarize_excludes_failures_and_warns_on_empty_groups():
     assert len(rows) == 1
     assert rows[0][4] == 1 and rows[0][5] == 1
     assert rows[0][6] == 10.0            # the failure did not contribute
+
+
+@pytest.mark.parametrize("metric, values", [
+    ("goodput", {"completion_ms": 2.2e-308, "delivered_bytes": 100}),  # 100 / 2.2e-308
+    ("ttfb_ms", {"ttfb_ms": math.inf, "completion_ms": 50.0}),
+    ("completion_ms", {"completion_ms": math.nan}),
+])
+def test_summarize_names_a_non_finite_metric_and_its_group(metric, values):
+    records = [rec(seed=0, ttfb_ms=10.0, completion_ms=50.0), rec(seed=1, **values)]
+    with pytest.raises(ValueError, match=rf"{metric} of group \('A', 'ndn', 100, "
+                                         r"'lossless'\) is not finite"):
+        summarize(records)
+    # A failed run's values are never read.
+    rows, _ = summarize([records[0], rec(seed=1, success=False, **values)])
+    assert rows[0][4:6] == [1, 1]
 
 
 def test_summarize_groups_and_orders_deterministically():
