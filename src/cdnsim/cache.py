@@ -70,5 +70,4 @@ class ContentStore(LruBytes):
     def insert(self, data):
         return self.put(data.name, data, data.wire_size, data.payload_size)
 
-    def lookup(self, name):
-        return self.get(name)
+    lookup = LruBytes.get

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .names import Name
@@ -48,16 +48,15 @@ class ContentObject:
     total_size: int
     chunk_size: int = DEFAULT_CHUNK_SIZE
     signature_size: int = DEFAULT_SIGNATURE_SIZE
+    segment_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.total_size <= 0:
             raise InvalidContentError("total_size must be positive")
         if self.chunk_size <= 0:
             raise InvalidContentError("chunk_size must be positive")
-
-    @property
-    def segment_count(self) -> int:
-        return -(-self.total_size // self.chunk_size)
+        object.__setattr__(self, "segment_count",
+                           -(-self.total_size // self.chunk_size))
 
     def payload_of(self, k: int) -> int:
         """Payload size of segment k (1-based)."""

@@ -181,6 +181,8 @@ class NdnWorld(World):
     def warm(self, node_name: str, nbytes: int):
         """Cache the whole segments that hold the first `nbytes` at node_name."""
         cs = self.nodes[node_name].cs
+        if cs is None:
+            raise ValueError(f"{node_name} has no cache to warm")
         for k in range(1, -(-nbytes // self.cfg.chunk_size) + 1):
             cs.insert(self.content.segment_data(k))
 

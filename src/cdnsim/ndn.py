@@ -1,11 +1,12 @@
 """NDN forwarding engine: FIB, PIT, Content Store, strategies, and the
 consumer retrieval pipeline.
 
-Forwarding follows the usual Interest/Data pipeline: a Content Store hit
-answers locally; a PIT hit from a new downstream face aggregates; a PIT
-miss consults the FIB (longest prefix match) and a forwarding strategy
-picks exactly one upstream face.  Data packets retrace the PIT entry's
-downstream faces and are cached on the way.
+`NdnNode.receive` is the forwarding pipeline, one pass per packet.  An
+Interest is answered locally by a Content Store hit, else by a producer;
+a PIT hit from a new downstream face aggregates; a PIT miss consults the
+FIB (longest prefix match) and a forwarding strategy picks exactly one
+upstream face.  A Data packet retraces the PIT entry's downstream faces
+and is cached on the way.  Every packet leaves through `NdnNode._send`.
 
 A retransmitted Interest (same name and downstream face, fresh nonce) is
 re-forwarded upstream rather than aggregated, so a consumer timeout can
@@ -115,17 +116,19 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
 
 
 class PitEntry:
+    """A pending Interest: its downstream faces in arrival order, all nonces."""
+
     __slots__ = ("name", "in_records", "nonces", "out_face_last", "expiry")
 
-    def __init__(self, name: Name, expiry: float):
+    def __init__(self, name: Name, expiry: float, in_face: int, nonce: int):
         self.name = name
-        self.in_records: dict[int, set] = {}
-        self.nonces: set = set()
+        self.in_records: list[int] = [in_face]
+        self.nonces: set = {nonce}
         self.out_face_last: Optional[int] = None
         self.expiry = expiry
 
 
-# Per-packet counts, kept as int fields of NdnNode; `NdnNode.counters`
+# Per-packet counts, kept as int slots of NdnNode; `NdnNode.counters`
 # reports the non-zero ones under these names.
 COUNTER_FIELDS = (
     "interests_in", "interests_out", "data_in", "data_out",
@@ -136,6 +139,10 @@ COUNTER_FIELDS = (
 
 
 class NdnNode(Node):
+    # Slots keep the instance dict below 30 keys: CPython gives an
+    # instance with 30 or more no fast path for its attributes.
+    __slots__ = COUNTER_FIELDS
+
     def __init__(self, name: str, *, cs_capacity: int = 0,
                  strategy: str = BEST_ROUTE,
                  pit_lifetime: float = DEFAULT_PIT_LIFETIME_MS):
@@ -175,6 +182,7 @@ class NdnNode(Node):
         """Open a face on the link to `neighbor`, which must exist."""
         face_id = len(self.faces)
         self.faces.append(self.net.face(self.name, neighbor))
+        self.net.face(neighbor, self.name).in_face = face_id
         self.face_of[neighbor] = face_id
         self.face_out.append(0)
         self.qualities[face_id] = FaceQuality(face_id)
@@ -188,20 +196,69 @@ class NdnNode(Node):
 
     # --- packet handling ----------------------------------------------------
 
-    def on_packet(self, packet, from_name: str):
-        face_id = self.face_of[from_name]
-        self.receive(packet, face_id)
-
     def receive(self, packet, in_face: int):
-        if type(packet) is Interest:
-            self.interests_in += 1
-            emissions = self.process_interest(packet, in_face)
-        else:
+        """Forward one packet that arrived on `in_face`."""
+        pit = self.pit
+        if type(packet) is not Interest:
+            name = packet.name
             self.data_in += 1
-            emissions = self.process_data(packet, in_face)
-        for face_id, pkt in emissions:
-            self._send(face_id, pkt)
-        return emissions
+            entry = pit.pop(name, None)  # an expired entry goes too
+            if entry is None or entry.expiry <= self.sim.now:
+                self.unsolicited_data += 1
+                return
+            if self.cs is not None:
+                self.cs.insert(packet)
+            for face_id in entry.in_records:
+                self._send(face_id, packet)
+            return
+
+        name = packet.name
+        self.interests_in += 1
+        if self.cs is not None:
+            data = self.cs.lookup(name)
+            if data is not None:
+                self.cs_hits += 1
+                self._send(in_face, data)
+                return
+            self.cs_misses += 1
+        if self.producer_contents:
+            data = self._producer_lookup(name)
+            if data is not None:
+                self.origin_touches += 1
+                self._send(in_face, data)
+                return
+
+        now = self.sim.now
+        entry = pit.get(name)
+        if entry is not None and entry.expiry <= now:
+            del pit[name]
+            entry = None
+        nonce = packet.nonce
+        expiry = now + min(packet.lifetime, self.pit_lifetime)
+        fresh = entry is None
+        if fresh:
+            entry = pit[name] = PitEntry(name, expiry, in_face, nonce)
+        elif nonce in entry.nonces:
+            self.dup_nonce_drops += 1
+            return
+        else:
+            entry.nonces.add(nonce)
+            if in_face not in entry.in_records:
+                entry.in_records.append(in_face)
+                self.pit_aggregated += 1
+                return
+            # Retransmission: downstream timed out, so push it upstream
+            # again through the strategy.
+        face_id = self._choose_face(packet, exclude=(in_face,))
+        if face_id is None:
+            self.no_route_drops += 1
+            if fresh:
+                del pit[name]
+            return
+        entry.out_face_last = face_id
+        if expiry > entry.expiry:
+            entry.expiry = expiry
+        self._send(face_id, packet)
 
     def _send(self, face_id: int, packet):
         if type(packet) is Interest:
@@ -215,57 +272,6 @@ class NdnNode(Node):
             return
         self.net.transmit(self.faces[face_id], packet)
 
-    def process_interest(self, interest: Interest, in_face: int):
-        now = self.sim.now
-        name = interest.name
-        if self.cs is not None:
-            data = self.cs.lookup(name)
-            if data is not None:
-                self.cs_hits += 1
-                return [(in_face, data)]
-            self.cs_misses += 1
-        data = self._producer_lookup(name)
-        if data is not None:
-            self.origin_touches += 1
-            return [(in_face, data)]
-
-        entry = self.pit.get(name)
-        if entry is not None and entry.expiry <= now:
-            del self.pit[name]
-            entry = None
-        if entry is not None:
-            if interest.nonce in entry.nonces:
-                self.dup_nonce_drops += 1
-                return []
-            entry.nonces.add(interest.nonce)
-            if in_face in entry.in_records:
-                # Retransmission: downstream timed out, so push it upstream
-                # again through the strategy.
-                entry.in_records[in_face].add(interest.nonce)
-                return self._forward(interest, entry, in_face)
-            entry.in_records[in_face] = {interest.nonce}
-            self.pit_aggregated += 1
-            return []
-
-        entry = PitEntry(name, now + min(interest.lifetime, self.pit_lifetime))
-        entry.in_records[in_face] = {interest.nonce}
-        entry.nonces.add(interest.nonce)
-        self.pit[name] = entry
-        emissions = self._forward(interest, entry, in_face)
-        if not emissions:
-            del self.pit[name]
-        return emissions
-
-    def _forward(self, interest: Interest, entry: PitEntry, in_face: int):
-        face_id = self._choose_face(interest, exclude=(in_face,))
-        if face_id is None:
-            self.no_route_drops += 1
-            return []
-        entry.out_face_last = face_id
-        entry.expiry = max(entry.expiry,
-                           self.sim.now + min(interest.lifetime, self.pit_lifetime))
-        return [(face_id, interest)]
-
     def _choose_face(self, interest: Interest, exclude=frozenset()):
         if self.scripted_chooser is not None:
             face_id = self.scripted_chooser(interest)
@@ -277,8 +283,6 @@ class NdnNode(Node):
         return strategy_select(fib_entry, self.qualities, self.strategy, exclude)
 
     def _producer_lookup(self, name: Name):
-        if not self.producer_contents:
-            return None
         seg = name.segment()
         if seg is None:
             return None
@@ -286,21 +290,6 @@ class NdnNode(Node):
         if content is None or not 1 <= seg <= content.segment_count:
             return None
         return content.segment_data(seg)
-
-    def process_data(self, data: Data, in_face: int):
-        now = self.sim.now
-        entry = self.pit.get(data.name)
-        if entry is not None and entry.expiry <= now:
-            del self.pit[data.name]
-            entry = None
-        if entry is None:
-            self.unsolicited_data += 1
-            return []
-        if self.cs is not None:
-            self.cs.insert(data)
-        emissions = [(face_id, data) for face_id in entry.in_records]
-        del self.pit[data.name]
-        return emissions
 
     # --- face liveness ------------------------------------------------------
 
@@ -368,12 +357,6 @@ class ConsumerPipeline:
     def sim(self):
         return self.node.sim
 
-    @property
-    def rto(self) -> float:
-        if self.srtt is None:
-            return self.initial_rto
-        return max(2.0 * self.srtt, DEFAULT_RTO_MIN_MS)
-
     def start(self):
         self._t0 = self.sim.now
         if self.byte_range is not None:
@@ -398,14 +381,17 @@ class ConsumerPipeline:
             self._issue(self._unsent.popleft())
 
     def _issue(self, seg: int):
-        now = self.sim.now
+        sim = self.node.sim
+        now = sim.now
         interest = Interest(self.prefix.with_segment(seg),
                             nonce=self.rng.getrandbits(64))
         self._in_flight[seg] = now
         self._sent_count[seg] = self._sent_count.get(seg, 0) + 1
         self.result.interests_sent += 1
         self.result.last_send_time[seg] = now
-        self.sim.after(self.rto, self._timeout, seg, now)
+        rto = (self.initial_rto if self.srtt is None
+               else max(2.0 * self.srtt, DEFAULT_RTO_MIN_MS))
+        sim.at(now + rto, self._timeout, seg, now)
         if self.node.alive:
             self.node.receive(interest, APP_FACE)
 
@@ -416,7 +402,7 @@ class ConsumerPipeline:
         send_time = self._in_flight.pop(seg, None)
         if send_time is None:
             return  # duplicate or stale
-        now = self.sim.now
+        now = self.node.sim.now
         self.result.satisfied_time[seg] = now
         self.result.arrivals.append((now, data.payload_size))
         self.result.delivered_bytes += data.payload_size

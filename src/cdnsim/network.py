@@ -5,8 +5,9 @@ link delay after it was sent.  Loss is an independent per-packet Bernoulli
 draw from a per-link-direction RNG, so traffic on one link never perturbs
 another link's draws.  A lossless, unscripted direction consumes no draw
 and builds no random stream (a stream is built on its direction's first
-lossy draw), so `Link.draw_losses` books a TCP round's sends on it in one
-step, and a world whose links are all lossless builds no stream.  Node
+lossy draw): `Network.transmit` books an NDN packet's send on it without
+a draw, `Link.draw_losses` books a TCP round's sends on it in one step,
+and a world whose links are all lossless builds no stream.  Node
 kill is fail-stop: the node drops everything from its kill time on and
 emits nothing.
 
@@ -16,7 +17,9 @@ needs no `(src, dst)` lookup to find its link.  It holds no node: nodes
 keep their faces, so a face that held its peer would tie every pair of
 neighbours into a reference cycle (node, face, peer, face, node), and a
 finished world would wait for the cycle collector.  The receiver is
-looked up by name when the packet arrives.
+looked up by name when the packet arrives.  An NDN receiver's face id for
+the link, which `NdnNode.add_face` sets on the face, goes with the packet
+to `NdnNode.receive`; any other node gets `on_packet(packet, src)`.
 """
 
 from __future__ import annotations
@@ -92,14 +95,17 @@ class Link:
 
 
 class Face:
-    """One direction of a link: packets from `src` to `dst`."""
+    """One direction of a link: packets from `src` to `dst`.  `in_face` is
+    the face id under which `dst` receives them, once an NDN `dst` opens
+    its face on the link."""
 
-    __slots__ = ("link", "src", "dst")
+    __slots__ = ("link", "src", "dst", "in_face")
 
     def __init__(self, link: Link, src: str, dst: str):
         self.link = link
         self.src = src
         self.dst = dst
+        self.in_face = None
 
 
 class Node:
@@ -171,7 +177,9 @@ class Network:
             if sim.trace is not None:
                 sim.log(face.src, "drop-linkdown", f"{face.dst} {packet}")
             return False
-        if link.should_drop(face.src, face.dst):
+        if link.loss <= 0.0 and link.scripted_drops is None:
+            link.tx[(face.src, face.dst)] += 1  # such a draw uses no random()
+        elif link.should_drop(face.src, face.dst):
             link.dropped_loss += 1
             if sim.trace is not None:
                 sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
@@ -189,7 +197,10 @@ class Network:
             return
         if self.sim.trace is not None:
             self.sim.log(face.dst, "rx", f"{face.src} {packet}")
-        node.on_packet(packet, face.src)
+        if face.in_face is None:
+            node.on_packet(packet, face.src)
+        else:
+            node.receive(packet, face.in_face)
 
     # --- fault and parameter-change injection -------------------------------
 

@@ -21,6 +21,7 @@ from cdnsim.network import Network
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import Simulator
 from cdnsim.tcp import DEFAULT_MSS, TcpTransfer, preestablished
+from test_ndn import handled
 
 MB = 1 << 20
 PREFIX = Name(("data_file",))
@@ -217,9 +218,8 @@ def _flow_balance_case(rng):
     asked = rng.sample(down_faces, rng.randint(1, n_down))
     upstream = []
     for face in asked:
-        upstream += r.process_interest(Interest(name, rng.getrandbits(32)),
-                                       face)
-    fanout = r.process_data(Data(name, payload_size=10), fu)
+        upstream += handled(r, Interest(name, rng.getrandbits(32)), face)
+    fanout = handled(r, Data(name, payload_size=10), fu)
     per_face = {}
     for f, _pkt in fanout:
         per_face[f] = per_face.get(f, 0) + 1
@@ -227,7 +227,7 @@ def _flow_balance_case(rng):
     assert per_face == {face: 1 for face in asked}
     # aggregation: exactly one interest went upstream
     assert len(upstream) == 1 and upstream[0][0] == fu
-    assert r.process_data(Data(name, payload_size=10), fu) == []
+    assert handled(r, Data(name, payload_size=10), fu) == []
 
 
 def _lru_equivalence_case(rng):

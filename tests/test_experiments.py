@@ -170,6 +170,15 @@ def test_warm_caches_the_leading_bytes_on_both_planes(plane):
         assert world.cache_bytes("int1") == 0
 
 
+@pytest.mark.parametrize("plane", ["ndn", "http"])
+def test_warming_a_node_without_a_cache_is_refused(plane):
+    cfg = config_from_dict({"experiment": "B"})
+    world = (NdnWorld if plane == "ndn" else HttpWorld)(cfg, seed=1,
+                                                        size=cfg.file_sizes[0])
+    with pytest.raises(ValueError, match="client has no cache to warm"):
+        world.warm("client", 1)
+
+
 def test_run_experiment_is_deterministic():
     cfg = config_from_dict({"experiment": "A", "file_sizes": [MB],
                             "repetitions": 2, "lossy_access": "2%"})

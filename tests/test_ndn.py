@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdnsim.content import ContentObject, Data, Interest
 from cdnsim.names import Name
-from cdnsim.ndn import (BEST_ROUTE, WEIGHTED, FaceQuality, FibEntry, NdnNode,
-                        compute_path_weight, strategy_select)
+from cdnsim.ndn import (APP_FACE, BEST_ROUTE, WEIGHTED, FaceQuality, FibEntry,
+                        NdnNode, compute_path_weight, strategy_select)
 from cdnsim.network import Network
 from cdnsim.sim import Simulator
 from test_experiments import FETCHED_WORLDS, small_world
@@ -12,10 +12,10 @@ from test_experiments import FETCHED_WORLDS, small_world
 PREFIX = Name(("data_file",))
 
 
-def make_node(name="r", cs_capacity=1 << 20, **kw):
+def make_node(name="r", cs_capacity=1 << 20, cls=NdnNode, **kw):
     sim = Simulator()
     net = Network(sim, base_seed=1)
-    node = NdnNode(name, cs_capacity=cs_capacity, **kw)
+    node = cls(name, cs_capacity=cs_capacity, **kw)
     net.add_node(node)
     return sim, net, node
 
@@ -23,6 +23,18 @@ def make_node(name="r", cs_capacity=1 << 20, **kw):
 def wire(net, a, b, delay=10.0, loss=0.0):
     net.add_link(a.name, b.name, delay, loss)
     return a.add_face(b.name), b.add_face(a.name)
+
+
+def handled(node, packet, in_face):
+    """The `(face, packet)` pairs that `node.receive(packet, in_face)`
+    hands to `_send`, recorded instead of sent."""
+    sent = []
+    node._send = lambda face_id, pkt: sent.append((face_id, pkt))
+    try:
+        node.receive(packet, in_face)
+    finally:
+        del node._send
+    return sent
 
 
 # --- path weight ------------------------------------------------------------
@@ -132,7 +144,7 @@ def test_cs_hit_short_circuits():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     content = ContentObject(PREFIX, 100)
     r.cs.insert(content.segment_data(1))
-    out = r.process_interest(Interest(PREFIX.with_segment(1), nonce=1), f_d1)
+    out = handled(r, Interest(PREFIX.with_segment(1), nonce=1), f_d1)
     assert [(f, d.name) for f, d in out] == [(f_d1, PREFIX.with_segment(1))]
     assert r.counters["cs_hits"] == 1
     assert not r.pit
@@ -143,23 +155,23 @@ def test_producer_answers_and_counts_origin_touch():
     f, _ = wire(net, p, net.nodes.setdefault("d", net.add_node(NdnNode("d"))))
     content = ContentObject(PREFIX, 100)
     p.publish(content)
-    out = p.process_interest(Interest(PREFIX.with_segment(1), nonce=1), f)
+    out = handled(p, Interest(PREFIX.with_segment(1), nonce=1), f)
     assert out[0][0] == f and out[0][1].payload_size == 100
     assert p.counters["origin_touches"] == 1
-    out = p.process_interest(Interest(PREFIX.with_segment(9), nonce=2), f)
+    out = handled(p, Interest(PREFIX.with_segment(9), nonce=2), f)
     assert out == []  # out-of-range segment has no route either
 
 
 def test_pit_aggregation_sends_one_upstream_interest():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
-    out1 = r.process_interest(Interest(name, nonce=1), f_d1)
-    out2 = r.process_interest(Interest(name, nonce=2), f_d2)
+    out1 = handled(r, Interest(name, nonce=1), f_d1)
+    out2 = handled(r, Interest(name, nonce=2), f_d2)
     assert [f for f, _ in out1] == [f_u]
     assert out2 == []                      # aggregated, nothing forwarded
     assert r.counters["pit_aggregated"] == 1
     data = Data(name, payload_size=100)
-    fanout = r.process_data(data, f_u)
+    fanout = handled(r, data, f_u)
     assert sorted(f for f, _ in fanout) == sorted([f_d1, f_d2])
     assert name not in r.pit
 
@@ -167,8 +179,8 @@ def test_pit_aggregation_sends_one_upstream_interest():
 def test_duplicate_nonce_dropped():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
-    r.process_interest(Interest(name, nonce=7), f_d1)
-    out = r.process_interest(Interest(name, nonce=7), f_d2)
+    handled(r, Interest(name, nonce=7), f_d1)
+    out = handled(r, Interest(name, nonce=7), f_d2)
     assert out == []
     assert r.counters["dup_nonce_drops"] == 1
 
@@ -176,8 +188,8 @@ def test_duplicate_nonce_dropped():
 def test_retransmission_same_face_reforwards():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
-    r.process_interest(Interest(name, nonce=1), f_d1)
-    out = r.process_interest(Interest(name, nonce=2), f_d1)  # fresh nonce
+    handled(r, Interest(name, nonce=1), f_d1)
+    out = handled(r, Interest(name, nonce=2), f_d1)  # fresh nonce
     assert [f for f, _ in out] == [f_u]
 
 
@@ -185,7 +197,7 @@ def test_no_route_drops_and_cleans_pit():
     sim, net, r = make_node()
     d = net.add_node(NdnNode("d"))
     f, _ = wire(net, r, d)
-    out = r.process_interest(Interest(PREFIX.with_segment(1), nonce=1), f)
+    out = handled(r, Interest(PREFIX.with_segment(1), nonce=1), f)
     assert out == []
     assert r.counters["no_route_drops"] == 1
     assert not r.pit
@@ -193,7 +205,7 @@ def test_no_route_drops_and_cleans_pit():
 
 def test_unsolicited_data_dropped():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
-    out = r.process_data(Data(PREFIX.with_segment(5), payload_size=10), f_u)
+    out = handled(r, Data(PREFIX.with_segment(5), payload_size=10), f_u)
     assert out == []
     assert r.counters["unsolicited_data"] == 1
 
@@ -201,20 +213,20 @@ def test_unsolicited_data_dropped():
 def test_expired_pit_entry_treated_as_miss():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
-    r.process_interest(Interest(name, nonce=1, lifetime=50.0), f_d1)
+    handled(r, Interest(name, nonce=1, lifetime=50.0), f_d1)
     sim.at(100.0, lambda: None)
     sim.run()
     # data after expiry is unsolicited; a new interest re-creates the entry
-    assert r.process_data(Data(name, payload_size=10), f_u) == []
-    out = r.process_interest(Interest(name, nonce=2), f_d2)
+    assert handled(r, Data(name, payload_size=10), f_u) == []
+    out = handled(r, Interest(name, nonce=2), f_d2)
     assert [f for f, _ in out] == [f_u]
 
 
 def test_data_populates_cs_on_the_way_down():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
-    r.process_interest(Interest(name, nonce=1), f_d1)
-    r.process_data(Data(name, payload_size=100), f_u)
+    handled(r, Interest(name, nonce=1), f_d1)
+    handled(r, Data(name, payload_size=100), f_u)
     assert r.cs.lookup(name).payload_size == 100
 
 
@@ -254,7 +266,7 @@ def test_mark_face_dead_without_alternative_keeps_entry():
 def test_scripted_chooser_overrides_strategy():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     r.scripted_chooser = lambda interest: f_d2   # deliberately odd choice
-    out = r.process_interest(Interest(PREFIX.with_segment(1), nonce=1), f_d1)
+    out = handled(r, Interest(PREFIX.with_segment(1), nonce=1), f_d1)
     assert [f for f, _ in out] == [f_d2]
 
 
@@ -265,14 +277,193 @@ def test_flow_balance_one_data_per_interest_per_face():
     name = PREFIX.with_segment(1)
     emitted = []
     for nonce, face in [(1, f_d1), (2, f_d2), (3, f_d1), (4, f_d2)]:
-        emitted += r.process_interest(Interest(name, nonce=nonce), face)
-    fanout = r.process_data(Data(name, payload_size=10), f_u)
+        emitted += handled(r, Interest(name, nonce=nonce), face)
+    fanout = handled(r, Data(name, payload_size=10), f_u)
     per_face = {}
     for f, pkt in fanout:
         per_face[f] = per_face.get(f, 0) + 1
     assert all(count == 1 for count in per_face.values())
     # a second copy of the same data finds no PIT state
-    assert r.process_data(Data(name, payload_size=10), f_u) == []
+    assert handled(r, Data(name, payload_size=10), f_u) == []
+
+
+# --- one-pass receive vs the emissions pipeline ------------------------------
+
+class ReferencePitEntry:
+    __slots__ = ("name", "in_records", "nonces", "out_face_last", "expiry")
+
+    def __init__(self, name, expiry):
+        self.name = name
+        self.in_records = {}  # face -> the nonces it sent
+        self.nonces = set()
+        self.out_face_last = None
+        self.expiry = expiry
+
+
+class ReferenceNode(NdnNode):
+    """The forwarding pipeline as it was before `receive` became one pass:
+    `process_interest` and `process_data` return `(face, packet)`
+    emissions, which `receive` then hands to `_send`, and a PIT entry
+    keeps the nonces of each downstream face."""
+
+    def receive(self, packet, in_face):
+        if type(packet) is Interest:
+            self.interests_in += 1
+            emissions = self.process_interest(packet, in_face)
+        else:
+            self.data_in += 1
+            emissions = self.process_data(packet, in_face)
+        for face_id, pkt in emissions:
+            self._send(face_id, pkt)
+        return emissions
+
+    def process_interest(self, interest, in_face):
+        now = self.sim.now
+        name = interest.name
+        if self.cs is not None:
+            data = self.cs.lookup(name)
+            if data is not None:
+                self.cs_hits += 1
+                return [(in_face, data)]
+            self.cs_misses += 1
+        data = self._producer_lookup(name) if self.producer_contents else None
+        if data is not None:
+            self.origin_touches += 1
+            return [(in_face, data)]
+
+        entry = self.pit.get(name)
+        if entry is not None and entry.expiry <= now:
+            del self.pit[name]
+            entry = None
+        if entry is not None:
+            if interest.nonce in entry.nonces:
+                self.dup_nonce_drops += 1
+                return []
+            entry.nonces.add(interest.nonce)
+            if in_face in entry.in_records:
+                entry.in_records[in_face].add(interest.nonce)
+                return self._forward(interest, entry, in_face)
+            entry.in_records[in_face] = {interest.nonce}
+            self.pit_aggregated += 1
+            return []
+
+        entry = ReferencePitEntry(name, now + min(interest.lifetime, self.pit_lifetime))
+        entry.in_records[in_face] = {interest.nonce}
+        entry.nonces.add(interest.nonce)
+        self.pit[name] = entry
+        emissions = self._forward(interest, entry, in_face)
+        if not emissions:
+            del self.pit[name]
+        return emissions
+
+    def _forward(self, interest, entry, in_face):
+        face_id = self._choose_face(interest, exclude=(in_face,))
+        if face_id is None:
+            self.no_route_drops += 1
+            return []
+        entry.out_face_last = face_id
+        entry.expiry = max(entry.expiry,
+                           self.sim.now + min(interest.lifetime, self.pit_lifetime))
+        return [(face_id, interest)]
+
+    def process_data(self, data, in_face):
+        now = self.sim.now
+        entry = self.pit.get(data.name)
+        if entry is not None and entry.expiry <= now:
+            del self.pit[data.name]
+            entry = None
+        if entry is None:
+            self.unsolicited_data += 1
+            return []
+        if self.cs is not None:
+            self.cs.insert(data)
+        emissions = [(face_id, data) for face_id in entry.in_records]
+        del self.pit[data.name]
+        return emissions
+
+
+OTHER = Name(("other",))
+NAMES = [PREFIX.with_segment(k) for k in (1, 2, 3)] + [OTHER.with_segment(1)]
+
+
+def forwarding_world(cls, cs_capacity, producer):
+    """Node r of class cls: downstream faces d1, d2 and the app face,
+    upstream faces u1, u2 on one FIB entry, and a recorder of every
+    `(face, packet)` handed to its `_send`."""
+    sim, net, r = make_node(cls=cls, cs_capacity=cs_capacity, pit_lifetime=100.0)
+    faces = {"app": APP_FACE}
+    for name in ("d1", "d2", "u1", "u2"):
+        net.add_node(NdnNode(name))
+        faces[name], _ = wire(net, r, net.nodes[name])
+    r.add_route(PREFIX, [(faces["u1"], 10), (faces["u2"], 20)])
+    if producer:
+        r.publish(ContentObject(PREFIX, 150, chunk_size=100))  # segments 1, 2
+    sent = []
+    send = r._send
+
+    def record(face_id, packet):
+        sent.append((face_id, packet))
+        send(face_id, packet)
+
+    r._send = record
+    return sim, net, r, faces, sent
+
+
+def forwarding_state(r, sent):
+    return (list(sent), r.counters, list(r.face_out),
+            [(name, list(e.in_records), e.out_face_last, e.expiry)
+             for name, e in r.pit.items()],
+            None if r.cs is None else list(r.cs.keys()))
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("interest"), st.sampled_from(NAMES), st.integers(1, 3),
+              st.sampled_from(["app", "d1", "d2"]),
+              st.sampled_from([10.0, 50.0, 4000.0])),
+    st.tuples(st.just("data"), st.sampled_from(NAMES),
+              st.sampled_from(["u1", "u2", "d1"])),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 10.0, 40.0, 60.0])),
+    st.tuples(st.just("dead"), st.sampled_from(["u1", "u2"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cs_capacity=st.sampled_from([0, 300, 1 << 20]), producer=st.booleans(),
+       steps=st.lists(STEPS, min_size=5, max_size=40))
+@example(cs_capacity=0, producer=False,  # an Interest at its entry's expiry
+         steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
+                ("interest", NAMES[0], 2, "d2", 10.0)])
+@example(cs_capacity=0, producer=False,  # a Data at its entry's expiry
+         steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
+                ("data", NAMES[0], "u1")])
+@example(cs_capacity=0, producer=False,  # a retransmission with no route left
+         steps=[("interest", NAMES[0], 1, "d1", 50.0), ("dead", "u1"),
+                ("dead", "u2"), ("interest", NAMES[0], 2, "d1", 50.0),
+                ("data", NAMES[0], "u1")])
+def test_receive_matches_the_emissions_reference(cs_capacity, producer, steps):
+    """The one-pass `receive` sends the same packets on the same faces and
+    leaves the same counters, PIT and Content Store as the reference, with
+    repeated nonces, aggregation, expiry, an evicting Content Store (300
+    bytes hold two 132-byte Data), a producer, unsolicited Data and dead
+    upstream faces."""
+    worlds = [forwarding_world(cls, cs_capacity, producer)
+              for cls in (NdnNode, ReferenceNode)]
+    for step in steps:
+        for sim, _net, r, faces, sent in worlds:
+            kind = step[0]
+            if kind == "interest":
+                _, name, nonce, face, lifetime = step
+                r.receive(Interest(name, nonce=nonce, lifetime=lifetime), faces[face])
+            elif kind == "data":
+                _, name, face = step
+                r.receive(Data(name, payload_size=100), faces[face])
+            elif kind == "advance":
+                sim.at(sim.now + step[1], lambda: None)
+                sim.run()
+            else:
+                r.mark_face_dead(faces[step[1]])
+        (_, _, got, _, got_sent), (_, _, want, _, want_sent) = worlds
+        assert forwarding_state(got, got_sent) == forwarding_state(want, want_sent)
 
 
 @given(st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3)),

@@ -1,6 +1,8 @@
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdnsim.sim import SimError, Simulator, derive_seed, make_rng
 
@@ -99,3 +101,99 @@ def test_make_rng_streams_are_independent_and_reproducible():
     b = [make_rng(7, "y").random() for _ in range(5)]
     assert a1 == a2
     assert a1 != b
+
+
+# --- grouped same-time events vs the (time, sequence) heap --------------------
+
+class HeapSimulator(Simulator):
+    """The event queue as it was before same-time events were grouped: one
+    heap entry `(time, seq, fn, args)` per event."""
+
+    def __init__(self):
+        super().__init__()
+        self._seq = 0
+
+    def at(self, time, fn, *args):
+        if not time >= self.now:
+            raise SimError(f"cannot schedule at {time} before now={self.now}")
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+
+    def run(self):
+        heap = self._heap
+        while heap:
+            time, _, fn, args = heapq.heappop(heap)
+            self.now = time
+            self.executed += 1
+            fn(*args)
+
+
+class Boom(Exception):
+    pass
+
+
+def play(sim, starts, plan, raise_at=None):
+    """Schedule `starts`; the k-th event run appends (now, its id) to the
+    returned log and schedules `plan[k]` children `after` those delays,
+    at most 200 events in all.  The `raise_at`-th event raises after
+    scheduling its children."""
+    log, ids = [], iter(range(200))
+
+    def fire(event_id):
+        k = len(log)
+        log.append((sim.now, event_id))
+        for delay in plan[k % len(plan)]:
+            child = next(ids, None)
+            if child is not None:
+                sim.after(delay, fire, child)
+        if k == raise_at:
+            raise Boom
+
+    for t in starts:
+        sim.at(t, fire, next(ids))
+    return log
+
+
+TIMES = st.sampled_from([0.0, 1.0, 2.0, 5.0])
+PLANS = st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0]), max_size=3),
+                 min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(starts=st.lists(TIMES, min_size=1, max_size=10), plan=PLANS)
+def test_grouped_queue_runs_events_in_heap_order(starts, plan):
+    """Times from a small set, so most events tie, and callbacks that
+    schedule at `now` and at already queued times."""
+    sims = Simulator(), HeapSimulator()
+    logs = [play(sim, starts, plan) for sim in sims]
+    for sim in sims:
+        sim.run()
+    assert logs[0] == logs[1]
+    assert sims[0].executed == sims[1].executed == len(logs[0])
+    assert sims[0].now == sims[1].now
+    assert sims[0]._heap == [] and sims[0]._queues == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(starts=st.lists(TIMES, min_size=1, max_size=10), plan=PLANS,
+       raise_at=st.integers(0, 30))
+def test_a_raising_event_leaves_the_rest_queued_in_order(starts, plan, raise_at):
+    """A callback raises mid-time: `executed` counts the events that ran,
+    the raising one included, and a second `run()` runs the rest in the
+    order the heap would."""
+    sims = Simulator(), HeapSimulator()
+    logs = [play(sim, starts, plan, raise_at) for sim in sims]
+    raised = []
+    for sim, log in zip(sims, logs):
+        try:
+            sim.run()
+        except Boom:
+            raised.append(sim.executed)
+        assert sim.executed == len(log)
+    assert logs[0] == logs[1]
+    assert raised in ([], [raise_at + 1] * 2)
+    for sim in sims:
+        sim.run()
+    assert logs[0] == logs[1]
+    assert sims[0].executed == sims[1].executed == len(logs[0])
+    assert sims[0]._heap == []
