@@ -257,16 +257,13 @@ class HttpWorld(World):
         return cache.content_used if cache is not None else 0
 
     def detail(self, spec: RunSpec, result: Fetch) -> dict:
-        """F's upstream at each strategy tick: the chain picks its upstream
-        once and stays on the degraded path for the life of the transfer."""
+        """F's requests to each upstream: the chain picks its upstream
+        once and stays on it for the life of the transfer."""
         if spec.degrade is None:
             return {}
-        ticks = []
-        t = 0.0
-        while result.completion is not None and t <= result.completion:
-            ticks.append((t, "int1"))
-            t += self.cfg.strategy_interval
-        return {"http_series": ticks}
+        return {"http_upstreams": {
+            name: self.nodes[name].counters.get("requests_upstream", 0)
+            for name in ("int1", "int2")}}
 
 
 def experiment_b_topologies(cfg: ScenarioConfig):
@@ -431,7 +428,7 @@ def collect(cfg: ScenarioConfig, results) -> ExperimentOutput:
     elif cfg.experiment == "E":
         details = {"kill_time": cfg.kill_time, "ndn_results": []}
     elif cfg.experiment == "F":
-        details = {"ndn_series": [], "http_series": []}
+        details = {"ndn_series": [], "http_upstreams": []}
     records = []
     for recs, detail in results:
         records += recs

@@ -9,8 +9,11 @@ already established when a scenario starts, so exactly one handshake
 stores only complete bodies.
 
 The client's GET and every proxy's upstream fetch take one request path,
-`HttpPlane._request`, and every node answers in `HttpPlane._serve`.  The
-requester watches the node it asked.  A fail-stop node sends no RST, so
+`HttpPlane._request`, and every node answers in `HttpPlane._serve`.  Every
+exchange ends in `on_done(fetch)`: the reply's TCP transfer result, or a
+`Fetch(reason=...)` when no reply came.  The client's TTFB is the first of
+`fetch.arrivals`; a proxy retries the other upstream only while it is empty.
+The requester watches the node it asked.  A fail-stop node sends no RST, so
 the requester notices its death `tcp.dead_peer_delay` later (three
 initial RTOs over their link: 600 ms on a 50 ms access link) and fails
 the request as `upstream-died`.  A node that dies while sending a reply
@@ -109,17 +112,17 @@ class _Pending:
         self.on_done = on_done
         self.settled = False
 
-    def settle(self, ok: bool, result, reason: str):
+    def settle(self, fetch: Fetch):
         if not self.settled:
             self.settled = True
             callbacks = self.waits.get(self.dst)
             if callbacks and self.on_dead in callbacks:
                 callbacks.remove(self.on_dead)
-            self.on_done(ok, result, reason)
+            self.on_done(fetch)
 
     def on_dead(self):
-        self.sim.after(dead_peer_delay(self.conn.link), self.settle, False,
-                       None, "upstream-died")
+        self.sim.after(dead_peer_delay(self.conn.link), self.settle,
+                       Fetch(reason="upstream-died"))
 
 
 class HttpPlane:
@@ -138,48 +141,39 @@ class HttpPlane:
 
     def get(self, client: str, first_proxy: str, request: HttpRequest,
             on_done):
-        """Issue a client GET; on_done receives a Fetch."""
+        """Issue a client GET; on_done receives its Fetch, timed from now."""
         sim = self.net.sim
-        fetch = Fetch()
         t0 = sim.now
 
-        def finish(success: bool, result, reason: str):
-            fetch.success = success
-            fetch.reason = reason
+        def finish(fetch: Fetch):
             fetch.completion = sim.now - t0
-            if result is not None:
-                fetch.delivered_bytes = result.delivered_bytes
-                fetch.arrivals = result.arrivals
-            if not success:
+            if fetch.arrivals:
+                fetch.ttfb = fetch.arrivals[0][0] - t0
+            if not fetch.success:
                 self.net.nodes[client].count("failed_transfers")
             on_done(fetch)
 
         if request.byte_range is not None:
             start, end = request.byte_range
             if start < 0 or start > end:
-                sim.after(0.0, finish, False, None, "invalid-range")
-                return fetch
-
-        def first_byte(t):
-            fetch.ttfb = t - t0
+                sim.after(0.0, finish, Fetch(reason="invalid-range"))
+                return
 
         def opened(conn):
             if conn is None:
-                finish(False, None, "connection-refused")
+                finish(Fetch(reason="connection-refused"))
             else:
-                self._request(client, first_proxy, request, conn, first_byte,
-                              finish)
+                self._request(client, first_proxy, request, conn, finish)
 
         tcp_open(self.net, client, first_proxy, opened, mss=self.mss)
-        return fetch
 
     # --- one request path, one serve path ------------------------------------
 
     def _request(self, src: str, dst: str, request: HttpRequest, conn,
-                 first_byte_cb, on_done):
+                 on_done):
         """Send `request` from src to dst over `conn`; dst serves it one
-        link delay later.  on_done(ok, result, reason) runs exactly once:
-        when the reply ends, or `dead_peer_delay` after dst dies."""
+        link delay later.  on_done(fetch) runs exactly once: when the
+        reply ends, or `dead_peer_delay` after dst dies."""
         sim = self.net.sim
         pending = _Pending(sim, self._waits, dst, conn, on_done)
         if self.net.nodes[dst].alive:
@@ -187,10 +181,9 @@ class HttpPlane:
         else:  # died after answering the client's SYN
             pending.on_dead()
         sim.after(conn.link.delay, self._serve, dst, request, conn,
-                  first_byte_cb, pending.settle)
+                  pending.settle)
 
-    def _serve(self, node_name: str, request: HttpRequest, down_conn,
-               first_byte_cb, cb):
+    def _serve(self, node_name: str, request: HttpRequest, down_conn, cb):
         """Answer `request` at node_name: from the origin's store, from the
         cache, or from a body fetched upstream.  A range request passes
         through a forward or bypass proxy untouched; any other proxy
@@ -203,13 +196,11 @@ class HttpPlane:
         def reply(size: int):
             nbytes = size if byte_range is None else request.range_bytes
             TcpTransfer(self.net, down_conn, node_name, nbytes,
-                        on_first_byte=first_byte_cb,
-                        on_done=lambda res: cb(res.success, res, res.reason)
-                        ).start()
+                        on_done=cb).start()
 
         def error(reason: str):
             # Small error reply; one link delay back to the requester.
-            self.net.sim.after(down_conn.link.delay, cb, False, None, reason)
+            self.net.sim.after(down_conn.link.delay, cb, Fetch(reason=reason))
 
         if node.proxy is None:  # the origin answers from its store
             size = node.origin_store.get(request.url)
@@ -233,13 +224,13 @@ class HttpPlane:
                 return
             node.count("cache_misses")
 
-        def got_body(ok: bool, result, reason: str):
+        def got_body(fetch: Fetch):
             if not node.alive:
                 return
-            if not ok:
-                error(reason)
+            if not fetch.success:
+                error(fetch.reason)
                 return
-            size = result.delivered_bytes
+            size = fetch.delivered_bytes
             if cache is not None:
                 cache.put(request.url, size, size)
                 node.count("bytes_cached", size)
@@ -249,26 +240,24 @@ class HttpPlane:
         self._fetch_upstream(node, upstream_request, got_body)
 
     def _fetch_upstream(self, node, request, on_done, attempt: int = 0):
-        """Forward a request upstream; on_done(ok, result, reason).
+        """Forward a request upstream; on_done(fetch).
 
         A failure before any byte arrived is retried once on the next
         upstream; any later failure is final.
         """
         upstream = node.pick_upstream()
         conn = preestablished(self.net, node.name, upstream, mss=self.mss)
-        got_byte = []
 
-        def settle(ok: bool, result, reason: str):
-            if not ok and not got_byte and attempt == 0 \
+        def settle(fetch: Fetch):
+            if not fetch.success and not fetch.arrivals and attempt == 0 \
                     and len(node.proxy.upstreams) > 1:
                 self._fetch_upstream(node, request, on_done, attempt=1)
             else:
-                on_done(ok, result, reason)
+                on_done(fetch)
 
         if not self.net.nodes[upstream].alive:
-            self.net.sim.after(dead_peer_delay(conn.link), settle, False, None,
-                               "connection-refused")
+            self.net.sim.after(dead_peer_delay(conn.link), settle,
+                               Fetch(reason="connection-refused"))
             return
         self.net.nodes[upstream].count("requests_upstream")
-        self._request(node.name, upstream, request, conn, got_byte.append,
-                      settle)
+        self._request(node.name, upstream, request, conn, settle)

@@ -23,22 +23,24 @@ SUMMARY_COLUMNS = [
 
 @dataclass
 class Fetch:
-    """What one client fetch delivered, on either plane.
+    """What one fetch delivered: a client fetch on either plane, an HTTP
+    exchange or a TCP transfer.
 
-    `arrivals` lists (time, payload bytes) as data reached the client.
-    The counters and per-segment times below it belong to the NDN
-    consumer; an HTTP fetch leaves them at zero and empty.
+    `arrivals` lists (time, payload bytes) as data reached the receiver.
+    The counters and per-segment times belong to the NDN consumer and
+    `cwnd_trace` (event, cwnd after) to TCP; elsewhere they stay empty.
     """
     success: bool = False
     reason: str = ""
     ttfb: Optional[float] = None
-    completion: Optional[float] = None
+    completion: Optional[float] = None       # from the fetch's start
     delivered_bytes: int = 0
     arrivals: list = field(default_factory=list)
     interests_sent: int = 0
     retransmissions: int = 0
     satisfied_time: dict = field(default_factory=dict)   # segment -> time
     last_send_time: dict = field(default_factory=dict)   # segment -> time
+    cwnd_trace: list = field(default_factory=list)
 
 
 @dataclass

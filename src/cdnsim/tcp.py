@@ -16,14 +16,18 @@ stream and the link's transmit counts do not depend on the batching.  A
 lost segment, SYN or SYN-ACK counts in the link's `dropped_loss`, or in
 `dropped_down` when the link is down, as a packet lost in
 `Network.transmit` does.
+
+A transfer's result is a `metrics.Fetch` whose `completion` runs from
+`start()` to the last byte; `on_done(fetch)` runs once, at the last byte
+or when the transfer fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
+from .metrics import Fetch
 from .network import Network
 
 DEFAULT_MSS = 1460
@@ -51,7 +55,6 @@ class TcpConnection:
     server: str
     link: object
     established_at: float
-    state: str = "established"      # handshake | established | closed | failed
     cwnd: float = INITIAL_CWND
     ssthresh: float = INITIAL_SSTHRESH
     mss: int = DEFAULT_MSS
@@ -136,34 +139,21 @@ def preestablished(net: Network, client: str, server: str,
                          mss=mss, srtt=2.0 * link.delay)
 
 
-@dataclass
-class TransferResult:
-    success: bool = False
-    reason: str = ""
-    delivered_bytes: int = 0
-    completion_time: Optional[float] = None
-    arrivals: list = field(default_factory=list)  # (time, bytes) at receiver
-    cwnd_trace: list = field(default_factory=list)  # (event, cwnd after)
-
-
 class TcpTransfer:
     """One bulk transfer sender -> receiver over an established connection."""
 
     def __init__(self, net: Network, conn: TcpConnection, sender: str,
-                 total_bytes: int, *, on_first_byte=None, on_done=None):
+                 total_bytes: int, *, on_done=None):
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
-        if conn.state != "established":
-            raise ValueError("connection not established")
         self.net = net
         self.conn = conn
         self.sender = sender
         self.receiver = conn.server if sender == conn.client else conn.client
         self.total_bytes = total_bytes
         self.total_segments = -(-total_bytes // conn.mss)
-        self.on_first_byte = on_first_byte
         self.on_done = on_done
-        self.result = TransferResult()
+        self.result = Fetch()
         self.done = False
         # Index 0 is unused; the trailing False stops the cumulative-ACK scan.
         self._received = [False] * (self.total_segments + 2)
@@ -177,14 +167,13 @@ class TcpTransfer:
     def start(self):
         if self.sim.now < self.conn.established_at:
             raise ValueError("transfer started before handshake completion")
+        self.started = self.sim.now
         self.sim.after(0.0, self._round)
 
     def _fail(self, reason: str):
         if self.done:
             return
         self.done = True
-        self.conn.state = "failed"
-        self.result.success = False
         self.result.reason = reason
         if self.on_done is not None:
             self.on_done(self.result)
@@ -229,7 +218,6 @@ class TcpTransfer:
             return
         now = self.sim.now
         result = self.result
-        first = result.delivered_bytes == 0
         received = self._received
         n = len(delivered)
         lo, hi = delivered[0], delivered[-1]
@@ -247,13 +235,10 @@ class TcpTransfer:
             nbytes += last - mss
         result.delivered_bytes += nbytes
         self._cum_ack = received.index(False, self._cum_ack + 1) - 1
-        if first and self.on_first_byte is not None:
-            self.on_first_byte(now)
         if self._cum_ack == self.total_segments:
             self.done = True
-            self.conn.state = "closed"
             result.success = True
-            result.completion_time = now
+            result.completion = now - self.started
             if self.on_done is not None:
                 self.on_done(result)
 

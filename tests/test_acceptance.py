@@ -169,8 +169,9 @@ def test_criterion_5_path_switching():
             # the switch shows up within one strategy interval
             after = [t for t, _ in series if t >= cfg.degrade_time]
             assert after and after[0] <= cfg.degrade_time + cfg.strategy_interval
-        for series in out.details["http_series"]:
-            assert {up for _, up in series} == {"int1"}
+        assert out.details["http_upstreams"]
+        for upstreams in out.details["http_upstreams"]:
+            assert upstreams == {"int1": 1, "int2": 0}
 
     report(5, "path switching", check)
 
@@ -322,11 +323,15 @@ def test_criterion_7_mechanism_invariants():
 
 def test_criterion_8_determinism():
     def check():
+        # E ignores `lossy_access`; only A's lossy mode reads it.
+        lossy_a = config_from_dict({"experiment": "A", "file_sizes": ["2MB"],
+                                    "repetitions": 2, "lossy_access": "1%"})
         cfg = config_from_dict({"experiment": "E", "file_sizes": ["2MB"],
                                 "repetitions": 2, "lossy_access": "1%"})
-        csv_a = records_to_csv(run_experiment(cfg).records)
-        csv_b = records_to_csv(run_experiment(cfg).records)
-        assert csv_a == csv_b
+        for run_cfg in (cfg, lossy_a):
+            csv_a = records_to_csv(run_experiment(run_cfg).records)
+            csv_b = records_to_csv(run_experiment(run_cfg).records)
+            assert csv_a == csv_b
 
         def traced_run(world_cls):
             world = world_cls(cfg, seed=7, size=256 * 1024,

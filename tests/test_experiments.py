@@ -125,8 +125,7 @@ def test_experiment_f_series_switches_at_degradation():
     after = [up for t, up in series if t >= 2000.0]
     assert set(before) == {"int1"}
     assert set(after) <= {"int2"}
-    http_series = out.details["http_series"][0]
-    assert {up for _, up in http_series} == {"int1"}
+    assert out.details["http_upstreams"] == [{"int1": 1, "int2": 0}]
 
 
 def test_oracle_tick_at_the_degrade_time_sees_the_old_link():

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cdnsim.metrics import Fetch
 from cdnsim.network import Network, Node
 from cdnsim.sim import Simulator
 from cdnsim.tcp import (DEFAULT_MSS, SYN_RETRY_BUDGET, TcpTransfer, preestablished,
@@ -111,8 +112,20 @@ def test_ten_segments_fit_in_initial_window():
     res = run_transfer(sim, net, conn, 10 * DEFAULT_MSS)
     assert res.success
     assert res.delivered_bytes == 14600
-    assert res.completion_time == 10.0      # one one-way delay
+    assert res.completion == 10.0      # one one-way delay
     assert len(res.arrivals) == 10
+
+
+def test_transfer_result_is_a_fetch_timed_from_its_start():
+    sim, net = make_net(delay=10.0)
+    conn = preestablished(net, "a", "b")
+    out = []
+    transfer = TcpTransfer(net, conn, "a", 10 * DEFAULT_MSS, on_done=out.append)
+    sim.at(100.0, transfer.start)
+    sim.run()
+    assert out == [transfer.result] and isinstance(out[0], Fetch)
+    assert out[0].arrivals[0] == (110.0, DEFAULT_MSS)
+    assert out[0].completion == 10.0        # the duration, not the end time
 
 
 def test_slow_start_doubles_each_rtt():
@@ -122,7 +135,7 @@ def test_slow_start_doubles_each_rtt():
     res = run_transfer(sim, net, conn, 70 * DEFAULT_MSS)
     assert res.success
     # last round starts after two 20 ms ack rounds
-    assert res.completion_time == 50.0
+    assert res.completion == 50.0
     assert res.cwnd_trace[:2] == [("ss", 20.0), ("ss", 40.0)]
 
 
@@ -143,7 +156,7 @@ def test_tail_loss_causes_rto_and_cwnd_one():
     assert res.success
     assert ("rto", 1.0) in res.cwnd_trace
     # retransmission resumes one RTO (200 ms floor) after the send
-    assert res.completion_time == 210.0
+    assert res.completion == 210.0
 
 
 def test_middle_loss_triggers_fast_recovery():
@@ -154,7 +167,7 @@ def test_middle_loss_triggers_fast_recovery():
     res = run_transfer(sim, net, conn, 10 * DEFAULT_MSS)
     assert res.success
     assert ("fr", 5.0) in res.cwnd_trace
-    assert res.completion_time == 30.0      # retransmit next round
+    assert res.completion == 30.0      # retransmit next round
 
 
 def test_sender_death_fails_transfer():
@@ -188,9 +201,6 @@ def test_transfer_argument_validation():
     conn = preestablished(net, "a", "b")
     with pytest.raises(ValueError):
         TcpTransfer(net, conn, "a", 0)
-    conn.state = "failed"
-    with pytest.raises(ValueError):
-        TcpTransfer(net, conn, "a", 10)
 
 
 # --- cwnd trace vs hand-stepped oracle --------------------------------------
@@ -303,7 +313,6 @@ class PerSegmentTransfer(TcpTransfer):
         if self.done or not self.net.nodes[self.receiver].alive:
             return
         now = self.sim.now
-        first = self.result.delivered_bytes == 0
         for seg in delivered:
             if not self._received[seg]:
                 self._received[seg] = True
@@ -313,13 +322,10 @@ class PerSegmentTransfer(TcpTransfer):
                 self.result.arrivals.append((now, size))
         while self._cum_ack < self.total_segments and self._received[self._cum_ack + 1]:
             self._cum_ack += 1
-        if first and self.result.delivered_bytes and self.on_first_byte is not None:
-            self.on_first_byte(now)
         if self._received_count == self.total_segments:
             self.done = True
-            self.conn.state = "closed"
             self.result.success = True
-            self.result.completion_time = now
+            self.result.completion = now - self.started
             if self.on_done is not None:
                 self.on_done(self.result)
 
@@ -334,10 +340,10 @@ def transfer_outcome(cls, nbytes, delay, loss, drops, kill, changes=()):
     for t, new_loss in changes:
         net.schedule_link_change(t, "a", "b", loss=new_loss)
     conn = preestablished(net, "a", "b")
-    out, first = [], []
-    cls(net, conn, "a", nbytes, on_first_byte=first.append,
-        on_done=out.append).start()
+    out = []
+    cls(net, conn, "a", nbytes, on_done=out.append).start()
     sim.run()
+    first = [res.arrivals[0][0] for res in out if res.arrivals]
     return out, first, dict(link.tx), link.dropped_loss
 
 
