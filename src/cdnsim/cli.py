@@ -93,6 +93,13 @@ def _run(cfg: ScenarioConfig, jobs: int) -> ExperimentOutput:
     return collect(cfg, results)
 
 
+def _traced_fetch(cfg: ScenarioConfig, size: int) -> str:
+    """The event trace of one NDN fetch of `size` bytes at the base seed."""
+    world = NdnWorld(cfg, cfg.base_seed, size, trace=True)
+    world.fetch()
+    return world.sim.trace_text()
+
+
 def cmd_run(args) -> int:
     cfg = _load(args)
     out = _run(cfg, args.jobs)
@@ -106,11 +113,9 @@ def cmd_run(args) -> int:
     for name, text in out.plot_files.items():
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
-    if getattr(args, "trace", False):
-        world = NdnWorld(cfg, cfg.base_seed, cfg.file_sizes[0], trace=True)
-        world.fetch()
+    if args.trace:
         with open(os.path.join(args.out, "trace.txt"), "w") as fh:
-            fh.write(world.sim.trace_text())
+            fh.write(_traced_fetch(cfg, cfg.file_sizes[0]))
     failures = sum(1 for r in records if not r.success)
     print(f"experiment {cfg.experiment}: {len(records)} runs, "
           f"{failures} failed, output in {args.out}/")
@@ -139,11 +144,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.size is not None and args.size <= 0:
+        raise ConfigError("--size must be a positive number of bytes")
     cfg = _load(args)
-    size = args.size if args.size else cfg.file_sizes[0]
-    world = NdnWorld(cfg, cfg.base_seed, size, trace=True)
-    world.fetch()
-    text = world.sim.trace_text()
+    text = _traced_fetch(cfg, args.size or cfg.file_sizes[0])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

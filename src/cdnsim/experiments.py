@@ -158,7 +158,7 @@ class NdnWorld(World):
             q = node.qualities[face_id]
             q.delay_estimate = link.delay
             q.loss_estimate = link.loss * 100.0
-            q.alive = nodes[face.dst].alive and link.up
+            q.alive = nodes[face.dst].alive
         entry = longest_prefix_match(node.fib, CONTENT_PREFIX)
         chosen = strategy_select(entry, node.qualities, node.strategy)
         self.chosen_series.append(

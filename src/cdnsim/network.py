@@ -3,13 +3,14 @@
 Links have infinite bandwidth: a delivered packet arrives exactly one
 link delay after it was sent.  Loss is an independent per-packet Bernoulli
 draw from a per-link-direction RNG, so traffic on one link never perturbs
-another link's draws.  A lossless, unscripted direction consumes no draw
-and builds no random stream (a stream is built on its direction's first
-lossy draw): `Network.transmit` books an NDN packet's send on it without
-a draw, `Link.draw_losses` books a TCP round's sends on it in one step,
-and a world whose links are all lossless builds no stream.  Node
-kill is fail-stop: the node drops everything from its kill time on and
-emits nothing.
+another link's draws.  It is the only way a link loses a packet, and
+`Link.should_drop` both draws it and counts it in `dropped_loss`.  A
+lossless direction consumes no draw and builds no random stream (a stream
+is built on its direction's first lossy draw): `Network.transmit` books an
+NDN packet's send on it without a draw, `Link.draw_losses` books a TCP
+round's sends on it in one step, and a world whose links are all lossless
+builds no stream.  Node kill is fail-stop: the node drops everything from
+its kill time on and emits nothing.
 
 A packet goes out on a `Face`: one direction of a link, as its sender
 sees it.  A face holds the link and the names of its two ends, so a send
@@ -17,9 +18,9 @@ needs no `(src, dst)` lookup to find its link.  It holds no node: nodes
 keep their faces, so a face that held its peer would tie every pair of
 neighbours into a reference cycle (node, face, peer, face, node), and a
 finished world would wait for the cycle collector.  The receiver is
-looked up by name when the packet arrives.  An NDN receiver's face id for
-the link, which `NdnNode.add_face` sets on the face, goes with the packet
-to `NdnNode.receive`; any other node gets `on_packet(packet, src)`.
+looked up by name when the packet arrives, and gets
+`receive(packet, in_face)`, where `in_face` is its face id for the link,
+which `NdnNode.add_face` sets on the face.
 """
 
 from __future__ import annotations
@@ -42,15 +43,14 @@ class Link:
     """A two-way link with one loss stream and one send count per direction.
 
     A direction's stream is `make_rng(seed, "link", src, dst)`, built on
-    the first draw that consumes a `random()`.  A lossless or scripted
-    direction never consumes one, so it never builds its stream, and a
-    direction whose loss rises from 0 mid-run draws the same sequence as
-    one that was lossy from the start.
+    the first draw that consumes a `random()`.  A lossless direction never
+    consumes one, so it never builds its stream, and a direction whose
+    loss rises from 0 mid-run draws the same sequence as one that was
+    lossy from the start.
     """
 
     __slots__ = (
-        "a", "b", "delay", "loss", "up", "seed",
-        "_rng", "tx", "dropped_loss", "dropped_down", "scripted_drops",
+        "a", "b", "delay", "loss", "seed", "_rng", "tx", "dropped_loss",
     )
 
     def __init__(self, a: str, b: str, delay: float, loss: float, base_seed: int):
@@ -59,35 +59,30 @@ class Link:
         self.b = b
         self.delay = delay
         self.loss = loss
-        self.up = True
         self.seed = base_seed
         self._rng = {}  # direction -> its stream, once a draw has used it
         self.tx = {(a, b): 0, (b, a): 0}
         self.dropped_loss = 0
-        self.dropped_down = 0
-        # Optional per-direction set of tx indices to drop deterministically
-        # (overrides the probability draw); used by tests and oracles.
-        self.scripted_drops = None
 
     def should_drop(self, src: str, dst: str) -> bool:
-        """Consume one loss draw for a packet src->dst."""
+        """Consume one loss draw for a packet src->dst; count it if lost."""
         direction = (src, dst)
-        idx = self.tx[direction]
-        self.tx[direction] = idx + 1
-        if self.scripted_drops is not None:
-            return idx in self.scripted_drops.get(direction, ())
+        self.tx[direction] += 1
         if self.loss <= 0.0:
             return False
         try:
-            return self._rng[direction].random() < self.loss
+            rng = self._rng[direction]
         except KeyError:
             # The module-level name, looked up now, so a patch of it applies.
             rng = self._rng[direction] = make_rng(self.seed, "link", src, dst)
-            return rng.random() < self.loss
+        if rng.random() < self.loss:
+            self.dropped_loss += 1
+            return True
+        return False
 
     def draw_losses(self, src: str, dst: str, segs) -> list:
         """The members of `segs` lost src->dst: one `should_drop` each, in order."""
-        if self.loss <= 0.0 and self.scripted_drops is None:
+        if self.loss <= 0.0:
             self.tx[(src, dst)] += len(segs)  # such a draw uses no random()
             return []
         should_drop = self.should_drop
@@ -109,7 +104,7 @@ class Face:
 
 
 class Node:
-    """Minimal node: subclasses handle packets; death is fail-stop.
+    """Minimal node: subclasses define `receive(packet, in_face)`; death is fail-stop.
 
     `Network.add_node` sets `sim` and `net`.  `net` is a weak proxy: the
     network owns its nodes, and a strong back-reference would make every
@@ -133,9 +128,6 @@ class Node:
 
     def count(self, key: str, n: int = 1):
         self._counts[key] = self._counts.get(key, 0) + n
-
-    def on_packet(self, packet, from_name: str):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class Network:
@@ -172,15 +164,9 @@ class Network:
         """Send one packet out on `face`.  Returns False on drop."""
         sim = self.sim
         link = face.link
-        if not link.up:
-            link.dropped_down += 1
-            if sim.trace is not None:
-                sim.log(face.src, "drop-linkdown", f"{face.dst} {packet}")
-            return False
-        if link.loss <= 0.0 and link.scripted_drops is None:
+        if link.loss <= 0.0:
             link.tx[(face.src, face.dst)] += 1  # such a draw uses no random()
         elif link.should_drop(face.src, face.dst):
-            link.dropped_loss += 1
             if sim.trace is not None:
                 sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
             return False
@@ -197,10 +183,7 @@ class Network:
             return
         if self.sim.trace is not None:
             self.sim.log(face.dst, "rx", f"{face.src} {packet}")
-        if face.in_face is None:
-            node.on_packet(packet, face.src)
-        else:
-            node.receive(packet, face.in_face)
+        node.receive(packet, face.in_face)
 
     # --- fault and parameter-change injection -------------------------------
 
@@ -220,21 +203,20 @@ class Network:
             raise ValueError(f"unknown node {name}")
         self.sim.at(t, self.kill_node, name)
 
-    def set_link(self, a: str, b: str, delay=None, loss=None, up=None):
+    def set_link(self, a: str, b: str, delay=None, loss=None):
         link = self.link_between(a, b)
         check_link_values(delay, loss)
         if delay is not None:
             link.delay = delay
         if loss is not None:
             link.loss = loss
-        if up is not None:
-            link.up = up
         if self.sim.trace is not None:
+            # No link is ever down; `up=True` keeps pinned traces' bytes.
             self.sim.log(a, "link-change",
-                         f"{b} delay={link.delay} loss={link.loss} up={link.up}")
+                         f"{b} delay={link.delay} loss={link.loss} up=True")
 
-    def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None, up=None):
+    def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None):
         if (a, b) not in self.faces:
             raise ValueError(f"unknown link {a}-{b}")
         check_link_values(delay, loss)
-        self.sim.at(t, self.set_link, a, b, delay, loss, up)
+        self.sim.at(t, self.set_link, a, b, delay, loss)

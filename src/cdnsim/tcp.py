@@ -9,13 +9,12 @@ the next window.  Bandwidth is infinite; only delay and loss matter.
 
 A round's bookkeeping is per round, not per segment: the arriving run is
 marked received with one slice assignment and one shared `(time, mss)`
-arrival entry, and the cumulative ACK jumps to the first hole.  A lossless,
-unscripted direction consumes no draw, so the round books its sends in one
-step; any other draws per segment sent (`Link.draw_losses`), so the RNG
-stream and the link's transmit counts do not depend on the batching.  A
-lost segment, SYN or SYN-ACK counts in the link's `dropped_loss`, or in
-`dropped_down` when the link is down, as a packet lost in
-`Network.transmit` does.
+arrival entry, and the cumulative ACK jumps to the first hole.  A lossless
+direction consumes no draw, so the round books its sends in one step; a
+lossy one draws per segment sent (`Link.draw_losses`), so the RNG stream
+and the link's transmit counts do not depend on the batching.  A lost
+segment, SYN or SYN-ACK is drawn and counted by `Link.should_drop`, as a
+packet lost in `Network.transmit` is.
 
 A transfer's result is a `metrics.Fetch` whose `completion` runs from
 `start()` to the last byte; `on_done(fetch)` runs once, at the last byte
@@ -104,22 +103,14 @@ class _Handshake:
         sim, link = self.net.sim, self.link
         timeout = SYN_TIMEOUT_MS * (2 ** (n - 1))
         sim.after(timeout, self.attempt, n + 1)
-        if not link.up:
-            link.dropped_down += 1
-        elif link.should_drop(self.client, self.server):
-            link.dropped_loss += 1
-        else:
+        if not link.should_drop(self.client, self.server):
             sim.after(link.delay, self.syn_arrive)
 
     def syn_arrive(self):
         if self.done or not self.net.nodes[self.server].alive:
             return
         link = self.link
-        if not link.up:
-            link.dropped_down += 1
-        elif link.should_drop(self.server, self.client):
-            link.dropped_loss += 1
-        else:
+        if not link.should_drop(self.server, self.client):
             self.net.sim.after(link.delay, self.established)
 
     def established(self):
@@ -195,16 +186,11 @@ class TcpTransfer:
         if not batch:
             return
         link = conn.link
-        if not link.up:
-            delivered, lost = [], batch
-            link.dropped_down += len(batch)
-        else:
-            lost = link.draw_losses(self.sender, self.receiver, batch)
-            delivered = batch
-            if lost:
-                link.dropped_loss += len(lost)
-                dropped = set(lost)
-                delivered = [seg for seg in batch if seg not in dropped]
+        lost = link.draw_losses(self.sender, self.receiver, batch)
+        delivered = batch
+        if lost:
+            dropped = set(lost)
+            delivered = [seg for seg in batch if seg not in dropped]
         t = self.sim.now
         arrival_time = t + link.delay
         if delivered:

@@ -277,15 +277,12 @@ def _reno_case(rng):
     sim = Simulator()
     net = Network(sim, base_seed=1)
     from cdnsim.network import Node
+    from scripted import script_drops
 
-    class Host(Node):
-        def on_packet(self, packet, from_name):
-            pass
-
-    net.add_node(Host("a"))
-    net.add_node(Host("b"))
+    net.add_node(Node("a"))
+    net.add_node(Node("b"))
     net.add_link("a", "b", 10.0, 0.0)
-    net.link_between("a", "b").scripted_drops = {("a", "b"): drops}
+    script_drops(net.link_between("a", "b"), {("a", "b"): drops})
     conn = preestablished(net, "a", "b")
     done = []
     TcpTransfer(net, conn, "a", total * DEFAULT_MSS,

@@ -6,6 +6,7 @@ import pytest
 
 import cdnsim
 from cdnsim.cli import main
+from cdnsim.experiments import NdnWorld
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -143,9 +144,20 @@ def test_trace_writes_tab_separated_events(tmp_path, capsys):
     assert t0 == sorted(t0)
 
 
-def test_trace_runtime_error_exits_1(capsys):
-    assert main(["trace", "--experiment", "B", "--size", "-5"]) == 1
-    assert "error" in capsys.readouterr().err
+def test_trace_runtime_error_exits_1(monkeypatch, capsys):
+    def broken_fetch(world):
+        raise RuntimeError("fetch broke")
+
+    monkeypatch.setattr(NdnWorld, "fetch", broken_fetch)
+    assert main(["trace", "--experiment", "B", "--size", "8800"]) == 1
+    assert "error: fetch broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_trace_refuses_a_size_below_one_byte(size, capsys):
+    assert main(["trace", "--experiment", "A", "--size", size]) == 2
+    captured = capsys.readouterr()
+    assert "--size" in captured.err and captured.out == ""
 
 
 def test_bad_reps_exits_2(tmp_path, capsys):

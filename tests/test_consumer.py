@@ -5,6 +5,7 @@ from cdnsim.names import Name
 from cdnsim.ndn import ConsumerPipeline, NdnNode
 from cdnsim.network import Network
 from cdnsim.sim import Simulator
+from scripted import script_drops
 
 PREFIX = Name(("data_file",))
 
@@ -111,8 +112,7 @@ def test_retransmission_answered_from_cache():
     # retransmits and the router's Content Store answers; the producer
     # sees the interest exactly once.
     sim, net, client, router, producer, content = line_world(total=100)
-    net.link_between("client", "router").scripted_drops = {
-        ("router", "client"): {0}}
+    script_drops(net.link_between("client", "router"), {("router", "client"): {0}})
     res = fetch(sim, client, content, initial_rto=100.0)
     assert res.success
     assert res.retransmissions == 1
@@ -124,8 +124,7 @@ def test_retransmission_answered_from_cache():
 
 def test_interest_loss_recovers_end_to_end():
     sim, net, client, router, producer, content = line_world(total=100)
-    net.link_between("client", "router").scripted_drops = {
-        ("client", "router"): {0}}
+    script_drops(net.link_between("client", "router"), {("client", "router"): {0}})
     res = fetch(sim, client, content, initial_rto=100.0)
     assert res.success
     assert res.retransmissions == 1
@@ -152,8 +151,7 @@ def test_no_segment_refetched_after_satisfaction():
 
 def test_srtt_uses_only_clean_samples():
     sim, net, client, router, producer, content = line_world(total=100)
-    net.link_between("client", "router").scripted_drops = {
-        ("router", "client"): {0}}
+    script_drops(net.link_between("client", "router"), {("router", "client"): {0}})
     results = []
     pipeline = ConsumerPipeline(client, PREFIX, chunk_size=8800,
                                 initial_rto=100.0, on_done=results.append)

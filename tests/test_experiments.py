@@ -10,8 +10,11 @@ from cdnsim import network
 from cdnsim.experiments import (NdnWorld, HttpWorld, execute, experiment_b_topologies,
                                 plot_files, run_experiment, run_specs, switch_segment)
 from cdnsim.metrics import MetricsRecord, records_to_csv, summarize
-from cdnsim.network import Link
+from cdnsim.network import Link, Network, Node
 from cdnsim.scenarios import config_from_dict
+from cdnsim.sim import Simulator
+from cdnsim.tcp import tcp_open
+from scripted import script_drops
 
 MB = 1 << 20
 
@@ -376,8 +379,8 @@ def test_lossless_worlds_build_no_link_stream(monkeypatch, experiment, plane):
 
 
 def test_http_links_count_their_losses(monkeypatch):
-    """TCP rounds and handshakes count each lost segment and SYN in the
-    link's `dropped_loss`, as `Network.transmit` does for NDN."""
+    """Every link's `dropped_loss` is the number of its `should_drop` draws
+    that lost: NDN packets, TCP segments, and SYNs and SYN-ACKs alike."""
     drops = Counter()
     should_drop = Link.should_drop
 
@@ -386,15 +389,32 @@ def test_http_links_count_their_losses(monkeypatch):
         drops[id(link)] += dropped
         return dropped
 
+    def handshake():
+        sim = Simulator()
+        net = Network(sim, base_seed=2)
+        net.add_node(Node("a"))
+        net.add_node(Node("b"))
+        # The first SYN and the first SYN-ACK are lost; the third SYN opens.
+        script_drops(net.add_link("a", "b", 10.0), {("a", "b"): {0},
+                                                    ("b", "a"): {0}})
+        out = []
+        tcp_open(net, "a", "b", out.append)
+        sim.run()
+        assert out[0].established_at == 3020.0
+        return net
+
+    def lossy(world_class):
+        world = world_class(cfg, seed=1, size=4 * MB, loss_access=0.05)
+        assert world.fetch().success
+        return world.net
+
     monkeypatch.setattr(Link, "should_drop", counted)
     cfg = config_from_dict({"experiment": "A"})
-    world = HttpWorld(cfg, seed=1, size=4 * MB, loss_access=0.05)
-    assert world.fetch().success
-    access = world.net.link_between("client", "csc")
-    assert access.dropped_loss > 0
-    links = {id(face.link): face.link for face in world.net.faces.values()}
-    for key, link in links.items():
-        assert (link.dropped_loss, link.dropped_down) == (drops[key], 0)
+    for net in (lossy(NdnWorld), lossy(HttpWorld), handshake()):
+        links = {id(face.link): face.link for face in net.faces.values()}
+        assert sum(link.dropped_loss for link in links.values()) > 0
+        for key, link in links.items():
+            assert link.dropped_loss == drops[key]
 
 
 def reference_plot_files(cfg, records) -> dict:

@@ -8,15 +8,19 @@ from cdnsim.names import Name
 from cdnsim.network import Link, Network, Node
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import SimError, Simulator
+from scripted import script_drops
 
 
 class Sink(Node):
+    """Records each packet with its sender: `make_net` opens each face
+    under its sender's name."""
+
     def __init__(self, name):
         super().__init__(name)
         self.received = []
 
-    def on_packet(self, packet, from_name):
-        self.received.append((self.sim.now, from_name, packet))
+    def receive(self, packet, in_face):
+        self.received.append((self.sim.now, in_face, packet))
 
 
 def make_net(loss=0.0, delay=10.0, seed=1):
@@ -26,6 +30,8 @@ def make_net(loss=0.0, delay=10.0, seed=1):
     net.add_node(a)
     net.add_node(b)
     net.add_link("a", "b", delay, loss)
+    for face in net.faces.values():
+        face.in_face = face.src
     return sim, net, a, b
 
 
@@ -77,10 +83,11 @@ def test_directions_draw_from_independent_streams():
 
 def test_scripted_drops_override_probability():
     _, net, _, _ = make_net(loss=0.0)
-    link = net.link_between("a", "b")
-    link.scripted_drops = {("a", "b"): {1, 3}}
+    link = script_drops(net.link_between("a", "b"), {("a", "b"): {1, 3}})
     pattern = [link.should_drop("a", "b") for i in range(5)]
     assert pattern == [False, True, False, True, False]
+    assert not any(link.should_drop("b", "a") for i in range(5))
+    assert link.dropped_loss == 2
 
 
 def test_dead_node_receives_nothing():
@@ -112,13 +119,6 @@ def test_kill_is_idempotent():
     net.kill_node("b")
     net.kill_node("b")
     assert hits == ["b"]
-
-
-def test_link_down_drops_everything():
-    sim, net, a, b = make_net()
-    net.set_link("a", "b", up=False)
-    assert not net.transmit(net.face("a", "b"), "x")
-    assert net.link_between("a", "b").dropped_down == 1
 
 
 def test_in_flight_packets_keep_old_delay():
@@ -217,24 +217,14 @@ def test_untraced_fetch_formats_no_trace_text(monkeypatch):
     assert len(calls) > len(world.sim.trace) // 2
 
 
-def twin_links(loss, scripted):
-    """Two links that draw the same streams."""
-    twins = [Link("a", "b", 10.0, loss, base_seed=3) for _ in range(2)]
-    for link in twins:
-        link.scripted_drops = scripted
-    return twins
-
-
 @settings(max_examples=200, deadline=None)
 @given(loss=st.sampled_from([0.0, 0.001, 0.2, 1.0]),
-       scripted=st.none() | st.fixed_dictionaries({
-           ("a", "b"): st.frozensets(st.integers(0, 80), max_size=20),
-           ("b", "a"): st.frozensets(st.integers(0, 80), max_size=20)}),
        calls=st.lists(st.tuples(st.sampled_from([("a", "b"), ("b", "a")]),
                                 st.lists(st.integers(1, 10_000), max_size=40)),
                       max_size=5))
-def test_draw_losses_equals_one_should_drop_per_member(loss, scripted, calls):
-    bulk, single = twin_links(loss, scripted)
+def test_draw_losses_equals_one_should_drop_per_member(loss, calls):
+    # Two links that draw the same streams.
+    bulk, single = (Link("a", "b", 10.0, loss, base_seed=3) for _ in range(2))
     for (src, dst), segs in calls:
         want = [seg for seg in segs if single.should_drop(src, dst)]
         assert bulk.draw_losses(src, dst, segs) == want

@@ -6,20 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 from cdnsim.metrics import Fetch
 from cdnsim.network import Network, Node
 from cdnsim.sim import Simulator
-from cdnsim.tcp import (DEFAULT_MSS, SYN_RETRY_BUDGET, TcpTransfer, preestablished,
-                        tcp_open)
-
-
-class Host(Node):
-    def on_packet(self, packet, from_name):
-        pass
+from cdnsim.tcp import DEFAULT_MSS, TcpTransfer, preestablished, tcp_open
+from scripted import script_drops
 
 
 def make_net(delay=10.0, loss=0.0):
     sim = Simulator()
     net = Network(sim, base_seed=2)
-    net.add_node(Host("a"))
-    net.add_node(Host("b"))
+    net.add_node(Node("a"))
+    net.add_node(Node("b"))
     net.add_link("a", "b", delay, loss)
     return sim, net
 
@@ -44,7 +39,7 @@ def test_handshake_takes_one_rtt():
 
 def test_lost_syn_retries_after_one_second():
     sim, net = make_net(delay=25.0)
-    net.link_between("a", "b").scripted_drops = {("a", "b"): {0}}
+    script_drops(net.link_between("a", "b"), {("a", "b"): {0}})
     conn = open_conn(sim, net)
     assert conn.established_at == 1050.0
     assert net.link_between("a", "b").dropped_loss == 1
@@ -52,29 +47,10 @@ def test_lost_syn_retries_after_one_second():
 
 def test_lost_synack_also_retries():
     sim, net = make_net(delay=25.0)
-    net.link_between("a", "b").scripted_drops = {("b", "a"): {0}}
+    script_drops(net.link_between("a", "b"), {("b", "a"): {0}})
     conn = open_conn(sim, net)
     assert conn.established_at == 1050.0
     assert net.link_between("a", "b").dropped_loss == 1
-
-
-def test_down_link_counts_each_syn_and_segment_it_drops():
-    sim, net = make_net()
-    link = net.link_between("a", "b")
-    net.set_link("a", "b", up=False)
-    assert open_conn(sim, net) is None
-    assert (link.dropped_down, link.dropped_loss) == (SYN_RETRY_BUDGET, 0)
-    for cls in (TcpTransfer, PerSegmentTransfer):
-        sim, net = make_net()
-        link = net.link_between("a", "b")
-        net.set_link("a", "b", up=False)
-        out = []
-        cls(net, preestablished(net, "a", "b"), "a", 10 * DEFAULT_MSS,
-            on_done=out.append).start()
-        sim.run()
-        assert out[0].reason == "peer unreachable"
-        # A window of 10, then two RTO rounds of one segment each.
-        assert (link.dropped_down, link.dropped_loss) == (12, 0)
 
 
 def test_dead_server_refuses_after_budget():
@@ -151,7 +127,7 @@ def test_tail_loss_causes_rto_and_cwnd_one():
     sim, net = make_net(delay=10.0)
     conn = preestablished(net, "a", "b")
     # lose the last of 10 segments: no dupacks, so timeout recovery
-    net.link_between("a", "b").scripted_drops = {("a", "b"): {9}}
+    script_drops(net.link_between("a", "b"), {("a", "b"): {9}})
     res = run_transfer(sim, net, conn, 10 * DEFAULT_MSS)
     assert res.success
     assert ("rto", 1.0) in res.cwnd_trace
@@ -163,7 +139,7 @@ def test_middle_loss_triggers_fast_recovery():
     sim, net = make_net(delay=10.0)
     conn = preestablished(net, "a", "b")
     # lose segment 2 of 10: eight later arrivals -> >= 3 dupacks
-    net.link_between("a", "b").scripted_drops = {("a", "b"): {1}}
+    script_drops(net.link_between("a", "b"), {("a", "b"): {1}})
     res = run_transfer(sim, net, conn, 10 * DEFAULT_MSS)
     assert res.success
     assert ("fr", 5.0) in res.cwnd_trace
@@ -257,7 +233,7 @@ def test_cwnd_trace_matches_oracle(drops):
     total = 120
     sim, net = make_net(delay=10.0)
     conn = preestablished(net, "a", "b")
-    net.link_between("a", "b").scripted_drops = {("a", "b"): set(drops)}
+    script_drops(net.link_between("a", "b"), {("a", "b"): drops})
     res = run_transfer(sim, net, conn, total * DEFAULT_MSS)
     assert res.success
     assert res.cwnd_trace == reno_oracle(total, drops)
@@ -296,11 +272,7 @@ class PerSegmentTransfer(TcpTransfer):
         delay = link.delay
         delivered, lost = [], []
         for seg in batch:
-            if not link.up:
-                link.dropped_down += 1
-                lost.append(seg)
-            elif link.should_drop(self.sender, self.receiver):
-                link.dropped_loss += 1
+            if link.should_drop(self.sender, self.receiver):
                 lost.append(seg)
             else:
                 delivered.append(seg)
@@ -334,7 +306,7 @@ def transfer_outcome(cls, nbytes, delay, loss, drops, kill, changes=()):
     sim, net = make_net(delay=delay, loss=loss)
     link = net.link_between("a", "b")
     if drops is not None:
-        link.scripted_drops = {("a", "b"): drops}
+        script_drops(link, {("a", "b"): drops})
     if kill is not None:
         net.schedule_kill(*kill)
     for t, new_loss in changes:
