@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from cdnsim.cli import main
-from cdnsim.experiments import HttpWorld
-from cdnsim.scenarios import config_from_dict
+from cdnsim.experiments import HttpWorld, run_specs
+from cdnsim.scenarios import config_from_dict, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,6 +66,18 @@ GOLDEN = {
     },
 }
 
+# sha256 of repr(run_specs(cfg)) for each shipped config, at full size.  In
+# B, C, D and E every link is lossless, so a spec's seed reaches only NDN
+# nonces and no output digest would catch a wrong seed label.
+RUN_SPECS_SHA256 = {
+    "experiment_a.json": "25aefe4765fa9f310595f121d4b3cf3f2460b1e15c525b21336163d9db5813f5",
+    "experiment_b.json": "ee129e62b830b1364d112517abb3e95d2f2d23e20ccea79c37815ae452815a77",
+    "experiment_c.json": "3341a5f436f0503adf08900cb6050d8d47887c1999b3edcf59cd27b074245521",
+    "experiment_d.json": "0a0c989c34e27590a559eaebec12bbf3dddd788ca7f3df0df8eaa0516eaa4218",
+    "experiment_e.json": "22627842f5a65d6490aa07c67000f3667a3899a13c604dfe62e5c6e2496896f2",
+    "experiment_f.json": "fa0685a2397455f7d8b829f0c3c232da277f5c4f96bc412780b622165180cf70",
+}
+
 NDN_TRACE_LINES = 1368
 NDN_TRACE_SHA256 = "754097ea32fbc9aede6b3b53e9df17c7d374eba8857378e93613d663cedcf2cf"
 HTTP_TRACE_SHA256 = "d425380371a83e3c6f53c85535bca978a77a3b82fe4936c46d72935cd3b15a2a"
@@ -97,6 +109,12 @@ def run_outputs(tmp_path, config_name, jobs=1) -> dict:
     for name in sorted(REDUCED) for jobs in (1, 2)])
 def test_run_outputs_match_golden(tmp_path, config_name, jobs):
     assert run_outputs(tmp_path, config_name, jobs) == GOLDEN[config_name]
+
+
+@pytest.mark.parametrize("config_name", sorted(RUN_SPECS_SHA256))
+def test_run_specs_match_golden(config_name):
+    specs = run_specs(load_config(str(CONFIGS / config_name)))
+    assert sha256(repr(specs).encode()) == RUN_SPECS_SHA256[config_name]
 
 
 def test_parallel_run_writes_the_serial_files(tmp_path):
