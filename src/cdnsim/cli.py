@@ -12,13 +12,10 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from .experiments import (ExperimentOutput, NdnWorld, collect, execute,
-                          plot_files, run_specs)
+from .experiments import NdnWorld, plot_files, run_experiment
 from .metrics import records_to_csv, summarize, summary_to_csv
 from .scenarios import (EXPERIMENT_SUMMARIES, EXPERIMENTS, PLANES,
                         ConfigError, ScenarioConfig, config_from_dict,
@@ -81,18 +78,6 @@ def _record_key(rec):
     return (rec.experiment, rec.plane, rec.size_bytes, rec.mode, rec.seed)
 
 
-def _run(cfg: ScenarioConfig, jobs: int) -> ExperimentOutput:
-    specs = run_specs(cfg)
-    if jobs <= 1 or len(specs) == 1:
-        results = [execute(cfg, spec) for spec in specs]
-    else:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
-                                 mp_context=context) as pool:
-            results = list(pool.map(execute, [cfg] * len(specs), specs))
-    return collect(cfg, results)
-
-
 def _traced_fetch(cfg: ScenarioConfig, size: int) -> str:
     """The event trace of one NDN fetch of `size` bytes at the base seed."""
     world = NdnWorld(cfg, cfg.base_seed, size, trace=True)
@@ -102,7 +87,7 @@ def _traced_fetch(cfg: ScenarioConfig, size: int) -> str:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    out = _run(cfg, args.jobs)
+    out = run_experiment(cfg, jobs=args.jobs)
     records = sorted(out.records, key=_record_key)
     rows, warnings = summarize(records)
     os.makedirs(args.out, exist_ok=True)

@@ -14,8 +14,9 @@ label)`, `cache_bytes(node)` and `detail(spec, result)`.
 Each experiment is a list of run specs (`run_specs`): one world each,
 with its seed, its scenario events and the fetches that make its records.
 `execute` runs one spec on its plane's world; `collect` joins the results,
-in spec order, into records, plot data and details, so a pool that
-executes the specs in parallel writes the same output as a serial run.
+in spec order, into records, plot data and details.  `run_experiment` does
+both, and owns the process pool behind `cdnsim run --jobs`: the pool
+executes the specs in parallel and writes the same output as a serial run.
 """
 
 from __future__ import annotations
@@ -315,64 +316,47 @@ def run_specs(cfg: ScenarioConfig, reps=None) -> list:
     reps = range(cfg.repetitions) if reps is None else reps
     planes = ["ndn", "http"] if cfg.plane == "both" else [cfg.plane]
     exp, base, size = cfg.experiment, cfg.base_seed, cfg.file_sizes[0]
+
+    def spec(plane, mode, rep, labels=(), size=size, **scenario):
+        # The seed names the run: experiment, plane, its labels, repetition.
+        return RunSpec(exp, plane, size, mode, rep,
+                       derive_seed(base, exp, plane, *labels, rep), **scenario)
+
     if exp == "A":
         losses = {"lossless": (0.0, 0.0),
                   "lossy": (cfg.lossy_access, cfg.lossy_upstream)}
-        return [RunSpec("A", plane, fs, mode, rep,
-                        derive_seed(base, "A", plane, fs, mode, rep),
-                        world={"loss_access": la, "loss_upstream": lu})
+        return [spec(plane, mode, rep, (fs, mode), size=fs,
+                     world={"loss_access": la, "loss_upstream": lu})
                 for fs in cfg.file_sizes for rep in reps for plane in planes
                 for mode, (la, lu) in losses.items()]
     if exp == "B":
         topos = experiment_b_topologies(cfg)
-        return [RunSpec("B", plane, size, f"{state}-topo{ti}", rep,
-                        derive_seed(base, "B", plane, ti, state, rep),
-                        world={"topo": topo},
-                        warm=(cfg.warmed, size) if state == "warm" else None)
+        return [spec(plane, f"{state}-topo{ti}", rep, (ti, state), world={"topo": topo},
+                     warm=(cfg.warmed, size) if state == "warm" else None)
                 for rep in reps for ti, topo in enumerate(topos)
                 for state in ("cold", "warm") for plane in planes]
-    specs = []
     if exp == "D":
+        # plane -> [(mode, seed labels after the range, scenario)]
+        modes = {"ndn": [("ndn-warm", (), {"warm": (cfg.warmed, cfg.warm_bytes)
+                                                    if cfg.warmed else None})],
+                 "http": [(mode, (mode,), {"world": {"range_mode": mode}})
+                          for mode in ("bypass", "full_fetch")]}
         repeats = tuple((f"r{i}",) for i in range(cfg.range_repeats))
-        warm = (cfg.warmed, cfg.warm_bytes) if cfg.warmed else None
-        for rep in reps:
-            for nbytes in cfg.ranges:
-                byte_range = (0, nbytes - 1)
-                for plane in planes:
-                    if plane == "ndn":
-                        specs.append(RunSpec(
-                            "D", plane, size, "ndn-warm", rep,
-                            derive_seed(base, "D", plane, nbytes, rep),
-                            warm=warm,
-                            byte_range=byte_range, fetches=repeats))
-                        continue
-                    for mode in ("bypass", "full_fetch"):
-                        specs.append(RunSpec(
-                            "D", plane, size, mode, rep,
-                            derive_seed(base, "D", plane, nbytes, mode, rep),
-                            world={"range_mode": mode},
-                            byte_range=byte_range, fetches=repeats))
-        return specs
-    for rep in reps:
-        for plane in planes:
-            seed = derive_seed(base, exp, plane, rep)
-            if exp == "C":
-                k = switch_segment(cfg) if plane == "ndn" else None
-                spec = RunSpec("C", plane, size, "switch", rep, seed,
-                               switch_segment=k,
-                               fetches=(("first", "second"),))
-            elif exp == "E":
-                spec = RunSpec("E", plane, size, "failover", rep, seed,
-                               kill=(cfg.kill_time, cfg.kill_node))
-            else:
-                world = ({"strategy": "weighted-best-path"} if plane == "ndn"
-                         else {"lb_policy": "single"})
-                spec = RunSpec("F", plane, size, "degrade", rep, seed,
-                               world=world,
-                               degrade=(cfg.degrade_time, cfg.degrade_delay,
-                                        cfg.degrade_loss))
-            specs.append(spec)
-    return specs
+        return [spec(plane, mode, rep, (nbytes, *labels), byte_range=(0, nbytes - 1),
+                     fetches=repeats, **scenario)
+                for rep in reps for nbytes in cfg.ranges for plane in planes
+                for mode, labels, scenario in modes[plane]]
+    if exp == "C":
+        return [spec(plane, "switch", rep, fetches=(("first", "second"),),
+                     switch_segment=switch_segment(cfg) if plane == "ndn" else None)
+                for rep in reps for plane in planes]
+    if exp == "E":
+        return [spec(plane, "failover", rep, kill=(cfg.kill_time, cfg.kill_node))
+                for rep in reps for plane in planes]
+    worlds = {"ndn": {"strategy": "weighted-best-path"}, "http": {"lb_policy": "single"}}
+    return [spec(plane, "degrade", rep, world=worlds[plane],
+                 degrade=(cfg.degrade_time, cfg.degrade_delay, cfg.degrade_loss))
+            for rep in reps for plane in planes]
 
 
 # Experiments whose records report origin touches and intermediate-cache
@@ -437,8 +421,17 @@ def collect(cfg: ScenarioConfig, results) -> ExperimentOutput:
     return ExperimentOutput(records, plot_files(cfg, records), details)
 
 
-def run_experiment(cfg: ScenarioConfig, reps=None) -> ExperimentOutput:
-    return collect(cfg, [execute(cfg, spec) for spec in run_specs(cfg, reps)])
+def run_experiment(cfg: ScenarioConfig, reps=None, jobs: int = 1) -> ExperimentOutput:
+    """Execute every spec, in a pool of `jobs` spawned processes when
+    jobs > 1 and there is more than one, and collect them in spec order."""
+    specs = run_specs(cfg, reps)
+    if jobs <= 1 or len(specs) <= 1:
+        return collect(cfg, [execute(cfg, spec) for spec in specs])
+    import multiprocessing  # only a pool needs them: importing cdnsim stays light
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return collect(cfg, list(pool.map(execute, [cfg] * len(specs), specs)))
 
 
 def plot_files(cfg: ScenarioConfig, records) -> dict:

@@ -85,7 +85,7 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
     best-route-failover: lowest static cost among alive faces.
     weighted-best-path: lowest compute_path_weight over the face quality
     estimates.  Ties break toward the lowest face id.  A face with no
-    quality entry counts as alive.
+    quality entry counts as alive.  Any other mode raises ValueError.
     """
     if mode == BEST_ROUTE:
         for face_id in entry.by_cost:
@@ -95,6 +95,8 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
             if q is None or q.alive:
                 return face_id
         return None
+    if mode != WEIGHTED:
+        raise ValueError(f"unknown strategy mode {mode!r}")
     candidates = []
     for face_id, cost in entry.nexthops:
         if face_id in exclude:
@@ -105,14 +107,13 @@ def strategy_select(entry: FibEntry, qualities: dict, mode: str, exclude=frozens
         candidates.append((face_id, cost, q))
     if not candidates:
         return None
-    if mode == WEIGHTED:
-        def weight(c):
-            q = c[2]
-            if q is None:
-                return (0, c[0])
-            return (compute_path_weight(q.delay_estimate, q.loss_estimate), c[0])
-        return min(candidates, key=weight)[0]
-    raise ValueError(f"unknown strategy mode {mode!r}")
+
+    def weight(c):
+        q = c[2]
+        if q is None:
+            return (0, c[0])
+        return (compute_path_weight(q.delay_estimate, q.loss_estimate), c[0])
+    return min(candidates, key=weight)[0]
 
 
 class PitEntry:

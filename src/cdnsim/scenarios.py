@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 MB = 1 << 20
@@ -42,75 +43,60 @@ class ConfigError(Exception):
     pass
 
 
-def parse_duration_ms(value, field_name: str = "duration") -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{field_name}: expected a duration, got {value!r}")
-    if isinstance(value, (int, float)):
-        result = float(value)
-    elif isinstance(value, str):
-        text = value.strip()
+def _error_if(fault, error):
+    """A check giving error, formatted with the value, where fault(value)."""
+    return lambda v: error.format(v) if fault(v) else None
+
+
+def _at_least(low):
+    return _error_if(lambda v: v < low, f"must be >= {low}")
+
+
+def _one_of(choices, error):
+    return _error_if(lambda v: v not in choices, error)
+
+
+def _quantity(kind, expected, types, convert, units, check, scale=operator.mul):
+    """A parser of one kind of quantity: a JSON number of `types`, or a
+    string holding one, at most followed by a suffix of `units`, an ordered
+    (suffix, factor) table whose first match applies.  A bare number is
+    `convert`ed; a suffixed one is read as a float and `convert(scale(number,
+    factor))`.  check(result) -> error refuses the result."""
+    def parse(value, field_name=kind):
+        if isinstance(value, bool) or not isinstance(value, (str, *types)):
+            raise ConfigError(f"{field_name}: expected {expected}, got {value!r}")
         try:
-            if text.endswith("ms"):
-                result = float(text[:-2])
-            elif text.endswith("s"):
-                result = float(text[:-1]) * 1000.0
+            if isinstance(value, str):
+                text = value.strip()
+                for suffix, factor in units:
+                    if text.endswith(suffix):
+                        result = convert(scale(float(text[:-len(suffix)]), factor))
+                        break
+                else:
+                    result = convert(text)
             else:
-                result = float(text)
-        except ValueError:
-            raise ConfigError(f"{field_name}: cannot parse duration {value!r}") from None
-    else:
-        raise ConfigError(f"{field_name}: expected a duration, got {value!r}")
-    if not 0 <= result < math.inf:  # refuses NaN too
-        raise ConfigError(f"{field_name}: duration must be finite and non-negative")
-    return result
+                result = convert(value)
+        except (ValueError, OverflowError):  # int(inf) and float(10**400) overflow
+            raise ConfigError(f"{field_name}: cannot parse {kind} {value!r}") from None
+        if error := check(result):
+            raise ConfigError(f"{field_name}: {error}")
+        return result
+    return parse
 
 
-def parse_bytes(value, field_name: str = "size") -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{field_name}: expected a size, got {value!r}")
-    if isinstance(value, int):
-        result = value
-    elif isinstance(value, str):
-        text = value.strip()
-        units = {"GB": GB, "MB": MB, "KB": 1 << 10, "B": 1}
-        for suffix, factor in units.items():
-            if text.endswith(suffix):
-                try:
-                    result = int(float(text[: -len(suffix)]) * factor)
-                except (ValueError, OverflowError):  # NaN or infinite
-                    raise ConfigError(f"{field_name}: cannot parse size {value!r}") from None
-                break
-        else:
-            try:
-                result = int(text)
-            except ValueError:
-                raise ConfigError(f"{field_name}: cannot parse size {value!r}") from None
-    else:
-        raise ConfigError(f"{field_name}: expected a size, got {value!r}")
-    if result < 0:
-        raise ConfigError(f"{field_name}: size must be non-negative")
-    return result
-
-
-def parse_loss(value, field_name: str = "loss") -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{field_name}: expected a loss rate, got {value!r}")
-    if isinstance(value, (int, float)):
-        result = float(value)
-    elif isinstance(value, str):
-        text = value.strip()
-        try:
-            if text.endswith("%"):
-                result = float(text[:-1]) / 100.0
-            else:
-                result = float(text)
-        except ValueError:
-            raise ConfigError(f"{field_name}: cannot parse loss {value!r}") from None
-    else:
-        raise ConfigError(f"{field_name}: expected a loss rate, got {value!r}")
-    if not 0.0 <= result <= 1.0:
-        raise ConfigError(f"{field_name}: loss must be a probability in [0, 1]")
-    return result
+parse_duration_ms = _quantity(
+    "duration", "a duration", (int, float), float, (("ms", 1.0), ("s", 1000.0)),
+    _error_if(lambda v: not 0 <= v < math.inf,  # refuses NaN too
+              "duration must be finite and non-negative"))
+# 1024-based; a JSON float or a bare "1.5" is not a size.
+parse_bytes = _quantity(
+    "size", "a size", (int,), int, (("GB", GB), ("MB", MB), ("KB", 1 << 10), ("B", 1)),
+    _error_if(lambda v: v < 0, "size must be non-negative"))
+# "%" divides by 100.0: multiplying by 0.01 rounds some rates differently.
+parse_loss = _quantity(
+    "loss", "a loss rate", (int, float), float, (("%", 100.0),),
+    _error_if(lambda v: not 0.0 <= v <= 1.0, "loss must be a probability in [0, 1]"),
+    scale=operator.truediv)
 
 
 def _parse_int(value, field_name):
@@ -122,7 +108,10 @@ def _parse_int(value, field_name):
 def _parse_float(value, field_name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field_name}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field_name}: cannot parse number {value!r}") from None
 
 
 def _parse_str(value, field_name):
@@ -142,19 +131,6 @@ def _key(default, parse, check=None):
     JSON parser `parse(value, name)` and its check: value -> error or None."""
     kind = "default_factory" if callable(default) else "default"
     return field(metadata={"parse": parse, "check": check}, **{kind: default})
-
-
-def _error_if(fault, error):
-    """A check giving error, formatted with the value, where fault(value)."""
-    return lambda v: error.format(v) if fault(v) else None
-
-
-def _at_least(low):
-    return _error_if(lambda v: v < low, f"must be >= {low}")
-
-
-def _one_of(choices, error):
-    return _error_if(lambda v: v not in choices, error)
 
 
 _POSITIVE = _error_if(lambda v: v <= 0, "must be positive")

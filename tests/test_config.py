@@ -188,6 +188,8 @@ REFUSED = {
     "topology.access_delay-inf": {"experiment": "A",
                                   "topology": {"access_delay": "inf"}},
     "file_sizes-inf": {"experiment": "A", "file_sizes": ["infMB"]},
+    # An integer too large for a float crashed the parser with exit 1.
+    "kill_time-huge": {"experiment": "E", "kill_time": 10**400},
 }
 
 
@@ -205,6 +207,21 @@ def test_validator_rejects_configs_that_hang_or_crash(tmp_path, capsys, case):
                  "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Every key whose parser turns a JSON number into a float.
+FLOAT_KEYS = ["kill_time", "degrade_time", "degrade_delay", "degrade_loss", "pit_lifetime",
+              "strategy_interval", "lossy_access", "lossy_upstream", "switch_fraction",
+              *(f"topology.{f.name}" for f in fields(TopologyConfig))]
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["huge", "-huge"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_integers_too_large_for_a_float_are_refused(key, value):
+    outer, _, inner = key.rpartition(".")
+    raw = {"experiment": "E", **({outer: {inner: value}} if outer else {key: value})}
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        config_from_dict(raw)
 
 
 # Keys that no run read: D runs both HTTP range modes and F runs

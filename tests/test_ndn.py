@@ -96,6 +96,8 @@ def test_strategy_respects_exclude_and_unknown_mode():
     assert strategy_select(entry, qualities, BEST_ROUTE, exclude={1}) == 2
     with pytest.raises(ValueError):
         strategy_select(entry, qualities, "no-such-strategy")
+    with pytest.raises(ValueError):  # even when no face is left to pick
+        strategy_select(entry, qualities, "no-such-strategy", exclude={1, 2})
 
 
 def test_fib_entry_validation():
