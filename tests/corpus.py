@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 from cdnsim.cli import main
+from cdnsim.scenarios import NODES
 
 CORPUS_SEED = 20201019
 CORPUS_SIZE = 40
@@ -38,9 +39,9 @@ PINS = Path(__file__).resolve().parent / "corpus.json"
 
 KB = 1 << 10
 MB = 1 << 20
-NODES = ("client", "csc", "int1", "int2", "origin")
-# On the default topology one window of Interests leaves the client every
-# 140 ms; csc holds its PIT entries from +50 to +90 ms of each cycle.
+# On the default topology, chunk size and window, one window of Interests
+# leaves the client every 140 ms; csc holds its PIT entries from +50 to +90 ms
+# of each cycle.
 CYCLE_MS = 140
 CHUNK = 8800
 WINDOW = 64
