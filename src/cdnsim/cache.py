@@ -1,4 +1,5 @@
-"""Byte-budgeted LRU caches for Content Stores and proxy caches."""
+"""Byte-budgeted LRU caches for Content Stores and proxy caches.  An entry
+holds only its value, as NFD's Content Store holds only the Data (NDN-0021)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ from collections import OrderedDict
 class LruBytes:
     """LRU map with a byte budget.
 
-    Each entry carries its accounted size (what counts against the budget)
-    and optionally a separate content size (payload bytes, reported by the
-    metrics layer).  Inserting evicts least-recently-accessed entries until
-    the budget holds; an entry larger than the whole budget is skipped.
+    `sizes(value)` gives an entry's accounted size (what counts against the
+    budget) and its content size (payload bytes, reported by the metrics
+    layer); here values are byte counts, which are both.  Inserting evicts
+    least-recently-accessed entries until the budget holds; an entry
+    larger than the whole budget is skipped.
     """
 
     def __init__(self, capacity: int):
@@ -21,7 +23,9 @@ class LruBytes:
         self.used = 0
         self.content_used = 0
         self.skipped_oversize = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (value, size, content_size)
+        # key -> value; a plain dict would rescan its deleted slots on
+        # every eviction from the front.
+        self._entries: OrderedDict = OrderedDict()
 
     def __len__(self):
         return len(self._entries)
@@ -29,31 +33,36 @@ class LruBytes:
     def __contains__(self, key):
         return key in self._entries
 
+    @staticmethod
+    def sizes(value):
+        return value, value
+
     def get(self, key):
         """Look up and touch recency; None on miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
 
-    def put(self, key, value, size: int, content_size=None):
+    def put(self, key, value):
         """Insert/replace an entry.  Returns the list of evicted keys."""
-        if content_size is None:
-            content_size = size
+        size, content_size = self.sizes(value)
         if size > self.capacity:
             self.skipped_oversize += 1
             return []
-        old = self._entries.pop(key, None)
+        entries = self._entries
+        old = entries.pop(key, None)
         if old is not None:
-            self.used -= old[1]
-            self.content_used -= old[2]
-        self._entries[key] = (value, size, content_size)
+            old_size, old_content = self.sizes(old)
+            self.used -= old_size
+            self.content_used -= old_content
+        entries[key] = value
         self.used += size
         self.content_used += content_size
         evicted = []
         while self.used > self.capacity:
-            k, (_, s, cs) = self._entries.popitem(last=False)
+            k, v = entries.popitem(last=False)
+            s, cs = self.sizes(v)
             self.used -= s
             self.content_used -= cs
             evicted.append(k)
@@ -67,7 +76,11 @@ class ContentStore(LruBytes):
     """Packet-granular cache: stores Data keyed by name, budgeted by
     payload + signature bytes."""
 
+    @staticmethod
+    def sizes(data):
+        return data.wire_size, data.payload_size
+
     def insert(self, data):
-        return self.put(data.name, data, data.wire_size, data.payload_size)
+        return self.put(data.name, data)
 
     lookup = LruBytes.get

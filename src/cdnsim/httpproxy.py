@@ -79,7 +79,7 @@ class HttpNode(Node):
     def warm_cache(self, url: str, size: int):
         if self.cache is None:
             raise ValueError(f"{self.name} has no cache to warm")
-        self.cache.put(url, size, size)
+        self.cache.put(url, size)
 
     def pick_upstream(self) -> str:
         ups = self.proxy.upstreams
@@ -232,7 +232,7 @@ class HttpPlane:
                 return
             size = fetch.delivered_bytes
             if cache is not None:
-                cache.put(request.url, size, size)
+                cache.put(request.url, size)
                 node.count("bytes_cached", size)
             reply(size)
 

@@ -351,7 +351,8 @@ class ConsumerPipeline:
         self._t0 = 0.0
         self._unsent: deque = deque()
         self._in_flight: dict[int, float] = {}
-        self._sent_count: dict[int, int] = {}
+        self._retries: dict[int, int] = {}  # only retransmitted segments
+        self._filling = False
         node.app_deliver = self._on_data
 
     @property
@@ -375,11 +376,16 @@ class ConsumerPipeline:
         self._fill_window()
 
     def _fill_window(self):
-        if self.done:
+        # A Content Store on the consumer's node answers inside `_issue` and
+        # calls back here: the loop already running does that issuing, and
+        # reads its limit on each pass, since the first Data opens the window.
+        if self.done or self._filling:
             return
-        limit = 1 if self.total_segments is None else self.window
-        while self._unsent and len(self._in_flight) < limit:
+        self._filling = True
+        while self._unsent and len(self._in_flight) < (
+                1 if self.total_segments is None else self.window):
             self._issue(self._unsent.popleft())
+        self._filling = False
 
     def _issue(self, seg: int):
         sim = self.node.sim
@@ -387,7 +393,6 @@ class ConsumerPipeline:
         interest = Interest(self.prefix.with_segment(seg),
                             nonce=self.rng.getrandbits(64))
         self._in_flight[seg] = now
-        self._sent_count[seg] = self._sent_count.get(seg, 0) + 1
         self.result.interests_sent += 1
         self.result.last_send_time[seg] = now
         rto = (self.initial_rto if self.srtt is None
@@ -404,12 +409,18 @@ class ConsumerPipeline:
         if send_time is None:
             return  # duplicate or stale
         now = self.node.sim.now
-        self.result.satisfied_time[seg] = now
-        self.result.arrivals.append((now, data.payload_size))
-        self.result.delivered_bytes += data.payload_size
-        if self.result.ttfb is None:
-            self.result.ttfb = now - self._t0
-        if self._sent_count[seg] == 1:  # Karn: only clean samples update SRTT
+        result = self.result
+        result.satisfied_time[seg] = now
+        size = data.payload_size
+        arrivals = result.arrivals
+        arrival = (now, size)
+        if arrivals and arrivals[-1] == arrival:
+            arrival = arrivals[-1]  # same-time arrivals share one tuple
+        arrivals.append(arrival)
+        result.delivered_bytes += size
+        if result.ttfb is None:
+            result.ttfb = now - self._t0
+        if seg not in self._retries:  # Karn: only clean samples update SRTT
             rtt = now - send_time
             self.srtt = rtt if self.srtt is None else 0.875 * self.srtt + 0.125 * rtt
         if self.total_segments is None and data.final_block is not None:
@@ -429,10 +440,12 @@ class ConsumerPipeline:
     def _timeout(self, seg: int, expected_send: float):
         if self.done or self._in_flight.get(seg) != expected_send:
             return
-        if self._sent_count[seg] > self.max_retries:
+        retries = self._retries.get(seg, 0)
+        if retries >= self.max_retries:
             self._finish(False, f"segment {seg} exceeded {self.max_retries} retries")
             return
         del self._in_flight[seg]
+        self._retries[seg] = retries + 1
         self.result.retransmissions += 1
         self._issue(seg)
 

@@ -24,8 +24,9 @@ NODES = ("client", "csc", "int1", "int2", "origin")
 
 EXPERIMENT_SUMMARIES = {
     "A": "content retrieval goodput with and without link loss; loss favors "
-         "the NDN plane because retransmissions are answered from the "
-         "client-side cache",
+         "the NDN plane because its fixed window keeps moving while a lost "
+         "segment waits for its retransmission, where TCP halves its window "
+         "or waits out an RTO",
     "B": "time to first byte, cold and warm; the HTTP plane pays one TCP "
          "handshake round trip on top of the path delay",
     "C": "intermediate-cache bytes after a mid-transfer upstream switch; "
@@ -287,6 +288,8 @@ def read_config(path: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer over Python's digit limit
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path: str) -> ScenarioConfig:

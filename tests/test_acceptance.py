@@ -245,7 +245,7 @@ def _lru_equivalence_case(rng):
                 order.append(key)
         else:
             size = rng.randint(1, max(1, cap // 2))
-            real.put(key, key, size)
+            real.put(key, size)
             if key in sizes:
                 order.remove(key)
                 del sizes[key]

@@ -159,3 +159,32 @@ def test_srtt_uses_only_clean_samples():
     sim.run()
     # the only delivery was a retransmission; Karn's rule leaves SRTT unset
     assert pipeline.srtt is None
+
+
+def test_same_time_arrivals_share_one_entry():
+    sim, net, client, router, producer, content = line_world(total=88000)
+    res = fetch(sim, client, content, window=64)
+    # Segment 1 at 40 ms, then 2..10 together at 80 ms: one tuple for those nine.
+    assert res.arrivals == [(40.0, 8800)] + [(80.0, 8800)] * 9
+    assert all(entry is res.arrivals[1] for entry in res.arrivals[1:])
+
+
+def test_arrivals_follow_satisfaction_order():
+    sim, net, client, router, producer, content = line_world(
+        total=880000 + 123, loss=0.01)
+    res = fetch(sim, client, content, window=8)
+    assert res.success and res.retransmissions > 0
+    assert res.arrivals == [(t, content.payload_of(seg))
+                            for seg, t in res.satisfied_time.items()]
+
+
+def test_only_retransmitted_segments_are_counted():
+    sim, net, client, router, producer, content = line_world(total=88000)
+    script_drops(net.link_between("client", "router"), {("router", "client"): {0}})
+    results = []
+    pipeline = ConsumerPipeline(client, PREFIX, chunk_size=8800,
+                                initial_rto=100.0, on_done=results.append)
+    sim.after(0.0, pipeline.start)
+    sim.run()
+    assert results[0].success and results[0].retransmissions == 1
+    assert pipeline._retries == {1: 1}

@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdnsim import network
+from cdnsim import experiments, network
 from cdnsim.experiments import (NdnWorld, HttpWorld, execute, experiment_b_topologies,
                                 plot_files, run_experiment, run_specs, switch_segment)
 from cdnsim.metrics import MetricsRecord, records_to_csv, summarize
+from cdnsim.ndn import ConsumerPipeline
 from cdnsim.network import Link, Network, Node
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import Simulator
@@ -464,3 +465,72 @@ def test_plot_files_equal_the_summarize_reference(drawn):
     any record order: the plot text is what `summarize`'s medians gave."""
     cfg, records = drawn
     assert plot_files(cfg, records) == reference_plot_files(cfg, records)
+
+
+# --- a Content Store at the client ---------------------------------------------
+# The client's own Content Store answers an Interest inside the consumer's
+# `_issue`, before any event runs, so a fetch from it never waits.
+
+
+def test_client_cached_fetch_of_thousands_of_segments_runs():
+    # 2,048 segments answered by the client's Content Store on C's second
+    # fetch: one nested window fill per segment exceeded the recursion limit.
+    cfg = config_from_dict({"experiment": "C", "plane": "ndn", "cache_nodes": ["client"],
+                            "chunk_size": 64, "file_sizes": ["128KB"], "repetitions": 1})
+    (spec,) = run_specs(cfg)
+    records, _ = execute(cfg, spec)
+    assert [(rec.success, rec.delivered_bytes) for rec in records] == [(True, 2 * 128 * 1024)]
+
+
+class RecursiveFillPipeline(ConsumerPipeline):
+    """The window fill that re-entered itself once per segment that the
+    client's Content Store answered: the reference for issue order."""
+
+    def _fill_window(self):
+        if self.done:
+            return
+        limit = 1 if self.total_segments is None else self.window
+        while self._unsent and len(self._in_flight) < limit:
+            self._issue(self._unsent.popleft())
+
+
+def _issue_log(monkeypatch, pipeline, cfg):
+    """The records of every run of cfg, and each `_issue` call's (time,
+    segment) and each nonce drawn, in the order they happened."""
+    log = []
+
+    class Logged(pipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            draw = self.rng.getrandbits
+
+            def logged_draw(k):
+                nonce = draw(k)
+                log.append(("nonce", nonce))
+                return nonce
+            self.rng.getrandbits = logged_draw
+
+        def _issue(self, seg):
+            log.append(("issue", self.sim.now, seg))
+            super()._issue(seg)
+
+    monkeypatch.setattr(experiments, "ConsumerPipeline", Logged)
+    records = [rec for spec in run_specs(cfg) for rec in execute(cfg, spec)[0]]
+    return records, log
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "C", "cache_nodes": ["client"], "file_sizes": ["8KB"]},
+    {"experiment": "D", "cache_nodes": ["client", "int1"], "file_sizes": ["16KB"],
+     "ranges": ["8KB", "1000B"], "warm_bytes": "4KB", "range_repeats": 2},
+    {"experiment": "A", "cache_nodes": ["client", "csc"], "file_sizes": ["8KB"],
+     "lossy_access": "5%", "window": 4},
+], ids=["C", "D", "A-lossy"])
+def test_window_fill_issues_in_the_recursive_order(monkeypatch, raw):
+    # 128 segments keep the reference under the recursion limit.
+    cfg = config_from_dict({**raw, "plane": "ndn", "chunk_size": 64, "repetitions": 2})
+    records, log = _issue_log(monkeypatch, ConsumerPipeline, cfg)
+    ref_records, ref_log = _issue_log(monkeypatch, RecursiveFillPipeline, cfg)
+    assert records_to_csv(records) == records_to_csv(ref_records)
+    assert log == ref_log
+    assert sum(entry[0] == "nonce" for entry in log) > 128 * cfg.repetitions
