@@ -397,7 +397,7 @@ def execute(cfg: ScenarioConfig, spec: RunSpec):
             rec.cache2_bytes = world.cache_bytes("int2")
         if spec.kill is not None:
             kill_time = spec.kill[0]
-            rec.max_gap_ms = max_gap([t for t, _ in results[0].arrivals],
+            rec.max_gap_ms = max_gap(results[0].arrival_times,
                                      window=(kill_time - 500.0,
                                              kill_time + 1500.0))
         records.append(rec)

@@ -12,7 +12,7 @@ The client's GET and every proxy's upstream fetch take one request path,
 `HttpPlane._request`, and every node answers in `HttpPlane._serve`.  Every
 exchange ends in `on_done(fetch)`: the reply's TCP transfer result, or a
 `Fetch(reason=...)` when no reply came.  The client's TTFB is the first of
-`fetch.arrivals`; a proxy retries the other upstream only while it is empty.
+`fetch.arrival_times`; a proxy retries the other upstream only if it is empty.
 The requester watches the node it asked.  A fail-stop node sends no RST, so
 the requester notices its death `tcp.dead_peer_delay` later (three
 initial RTOs over their link: 600 ms on a 50 ms access link) and fails
@@ -147,8 +147,8 @@ class HttpPlane:
 
         def finish(fetch: Fetch):
             fetch.completion = sim.now - t0
-            if fetch.arrivals:
-                fetch.ttfb = fetch.arrivals[0][0] - t0
+            if fetch.arrival_times:
+                fetch.ttfb = fetch.arrival_times[0] - t0
             if not fetch.success:
                 self.net.nodes[client].count("failed_transfers")
             on_done(fetch)
@@ -249,7 +249,7 @@ class HttpPlane:
         conn = preestablished(self.net, node.name, upstream, mss=self.mss)
 
         def settle(fetch: Fetch):
-            if not fetch.success and not fetch.arrivals and attempt == 0 \
+            if not fetch.success and not fetch.arrival_times and attempt == 0 \
                     and len(node.proxy.upstreams) > 1:
                 self._fetch_upstream(node, request, on_done, attempt=1)
             else:

@@ -26,21 +26,25 @@ class Fetch:
     """What one fetch delivered: a client fetch on either plane, an HTTP
     exchange or a TCP transfer.
 
-    `arrivals` lists (time, payload bytes) as data reached the receiver.
-    The counters and per-segment times belong to the NDN consumer and
-    `cwnd_trace` (event, cwnd after) to TCP; elsewhere they stay empty.
+    `arrival_times` holds each distinct time at which data reached the
+    receiver, in order; only `arrive` writes it.  The counters belong to the
+    NDN consumer and `cwnd_trace` (event, cwnd after) to TCP.
     """
     success: bool = False
     reason: str = ""
     ttfb: Optional[float] = None
     completion: Optional[float] = None       # from the fetch's start
     delivered_bytes: int = 0
-    arrivals: list = field(default_factory=list)
+    arrival_times: list = field(default_factory=list)
     interests_sent: int = 0
     retransmissions: int = 0
-    satisfied_time: dict = field(default_factory=dict)   # segment -> time
-    last_send_time: dict = field(default_factory=dict)   # segment -> time
     cwnd_trace: list = field(default_factory=list)
+
+    def arrive(self, time: float, nbytes: int) -> None:
+        """Count nbytes that reached the receiver at time; keep each time once."""
+        if not self.arrival_times or self.arrival_times[-1] != time:
+            self.arrival_times.append(time)
+        self.delivered_bytes += nbytes
 
 
 @dataclass

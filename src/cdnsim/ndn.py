@@ -394,7 +394,6 @@ class ConsumerPipeline:
                             nonce=self.rng.getrandbits(64))
         self._in_flight[seg] = now
         self.result.interests_sent += 1
-        self.result.last_send_time[seg] = now
         rto = (self.initial_rto if self.srtt is None
                else max(2.0 * self.srtt, DEFAULT_RTO_MIN_MS))
         sim.at(now + rto, self._timeout, seg, now)
@@ -410,14 +409,7 @@ class ConsumerPipeline:
             return  # duplicate or stale
         now = self.node.sim.now
         result = self.result
-        result.satisfied_time[seg] = now
-        size = data.payload_size
-        arrivals = result.arrivals
-        arrival = (now, size)
-        if arrivals and arrivals[-1] == arrival:
-            arrival = arrivals[-1]  # same-time arrivals share one tuple
-        arrivals.append(arrival)
-        result.delivered_bytes += size
+        result.arrive(now, data.payload_size)
         if result.ttfb is None:
             result.ttfb = now - self._t0
         if seg not in self._retries:  # Karn: only clean samples update SRTT

@@ -100,6 +100,11 @@ parse_loss = _quantity(
     scale=operator.truediv)
 
 
+def _parse_upstream_loss(value, field_name):
+    """A loss rate, or JSON null for unset: the link takes the upstream loss."""
+    return None if value is None else parse_loss(value, field_name)
+
+
 def _parse_int(value, field_name):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field_name}: expected an integer, got {value!r}")
@@ -145,8 +150,8 @@ class TopologyConfig:
     csc_int2_delay: float = _key(10.0, parse_duration_ms)
     int1_origin_delay: float = _key(10.0, parse_duration_ms)
     int2_origin_delay: float = _key(50.0, parse_duration_ms)
-    csc_int1_loss: float | None = _key(None, parse_loss)  # None: the upstream loss
-    csc_int2_loss: float | None = _key(None, parse_loss)
+    csc_int1_loss: float | None = _key(None, _parse_upstream_loss)
+    csc_int2_loss: float | None = _key(None, _parse_upstream_loss)
 
 
 @dataclass

@@ -8,8 +8,8 @@ one link delay later, and the ACK outcome one RTT after the send decides
 the next window.  Bandwidth is infinite; only delay and loss matter.
 
 A round's bookkeeping is per round, not per segment: the arriving run is
-marked received with one slice assignment and one shared `(time, mss)`
-arrival entry, and the cumulative ACK jumps to the first hole.  A lossless
+marked received with one slice assignment and one `Fetch.arrive` call for
+its bytes, and the cumulative ACK jumps to the first hole.  A lossless
 direction consumes no draw, so the round books its sends in one step; a
 lossy one draws per segment sent (`Link.draw_losses`), so the RNG stream
 and the link's transmit counts do not depend on the batching.  A lost
@@ -214,12 +214,9 @@ class TcpTransfer:
                 received[seg] = True
         mss = self.conn.mss
         nbytes = n * mss
-        result.arrivals.extend([(now, mss)] * n)
-        if hi == self.total_segments:
-            last = self.total_bytes - (self.total_segments - 1) * mss
-            result.arrivals[-1] = (now, last)
-            nbytes += last - mss
-        result.delivered_bytes += nbytes
+        if hi == self.total_segments:  # the last segment may be short
+            nbytes -= self.total_segments * mss - self.total_bytes
+        result.arrive(now, nbytes)
         self._cum_ack = received.index(False, self._cum_ack + 1) - 1
         if self._cum_ack == self.total_segments:
             self.done = True

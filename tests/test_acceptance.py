@@ -10,6 +10,7 @@ import random
 import statistics
 import time
 
+from cdnsim import experiments
 from cdnsim.cache import LruBytes
 from cdnsim.content import ContentObject, Data, Interest
 from cdnsim.experiments import (HttpWorld, NdnWorld, experiment_b_topologies,
@@ -21,6 +22,7 @@ from cdnsim.network import Network
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import Simulator
 from cdnsim.tcp import DEFAULT_MSS, TcpTransfer, preestablished
+from test_consumer import RecordingPipeline
 from test_ndn import handled
 
 MB = 1 << 20
@@ -113,11 +115,21 @@ def test_criterion_3_loss_ordinal():
 
 # --- 4: transparent failover ------------------------------------------------
 
-def test_criterion_4_transparent_failover():
+def test_criterion_4_transparent_failover(monkeypatch):
+    pipelines = []
+
+    class Recorded(RecordingPipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pipelines.append(self)
+
+    monkeypatch.setattr(experiments, "ConsumerPipeline", Recorded)
+
     def check():
         cfg = config_from_dict({"experiment": "E"})
         assert cfg.repetitions == 10
         out = run_experiment(cfg)
+        pipeline_of = {id(p.result): p for p in pipelines}
         kill_time = out.details["kill_time"]
         topo = cfg.topology
         rtt = 2.0 * (topo.access_delay + topo.csc_int1_delay
@@ -131,9 +143,10 @@ def test_criterion_4_transparent_failover():
             assert rec.delivered_bytes == cfg.file_sizes[0]
             assert rec.max_gap_ms <= rto_bound, (rec.max_gap_ms, rto_bound)
             # nothing satisfied before the fault is ever re-sent after it
-            for seg, t_ok in res.satisfied_time.items():
+            pipeline = pipeline_of[id(res)]
+            for seg, t_ok in pipeline.satisfied_time.items():
                 if t_ok < kill_time:
-                    assert res.last_send_time[seg] <= t_ok
+                    assert pipeline.last_send_time[seg] <= t_ok
         for rec in http:
             assert not rec.success
             assert rec.delivered_bytes < cfg.file_sizes[0]

@@ -1,7 +1,7 @@
 import json
 import math
 import signal
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +13,7 @@ from cdnsim.scenarios import (EXPERIMENTS, NODES, PLANES, ConfigError,
                               ScenarioConfig, TopologyConfig, config_from_dict,
                               load_config, parse_bytes, parse_duration_ms,
                               parse_loss)
+from test_cli import CONFIG_DIR
 
 MB = 1 << 20
 
@@ -380,3 +381,31 @@ def test_drawn_configs_are_refused_or_run(raw):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _written_back(cfg):
+    """cfg, resolved, written out as JSON and parsed again."""
+    return config_from_dict(json.loads(json.dumps(asdict(cfg))))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_configs_reparse_equal(name):
+    cfg = load_config(str(CONFIG_DIR / name))
+    assert _written_back(cfg) == cfg
+
+
+def test_null_upstream_loss_is_unset():
+    cfg = config_from_dict({"experiment": "F",
+                            "topology": {"csc_int1_loss": None, "csc_int2_loss": "1%"}})
+    assert cfg.topology.csc_int1_loss is None
+    assert cfg.topology.csc_int2_loss == 0.01
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(raw=raw_configs())
+def test_drawn_configs_reparse_equal(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert _written_back(cfg) == cfg

@@ -41,6 +41,41 @@ def fetch(sim, client, content, **kw):
     return results[0]
 
 
+class RecordingPipeline(ConsumerPipeline):
+    """A pipeline that records what its `Fetch` does not keep: the time of
+    each segment's last `_issue`, and each satisfaction (segment, time) in
+    the order they happened."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.last_send_time = {}
+        self.satisfactions = []
+
+    def _issue(self, seg):
+        self.last_send_time[seg] = self.sim.now
+        super()._issue(seg)
+
+    def _on_data(self, data):
+        seg = data.name.segment()
+        if not self.done and seg in self._in_flight:
+            self.satisfactions.append((seg, self.sim.now))
+        super()._on_data(data)
+
+    @property
+    def satisfied_time(self):
+        """segment -> its last satisfaction, in first-satisfaction order."""
+        return dict(self.satisfactions)
+
+
+def recorded_fetch(sim, client, content, **kw):
+    """fetch through a RecordingPipeline: (its result, the pipeline)."""
+    pipeline = RecordingPipeline(client, PREFIX, chunk_size=content.chunk_size, **kw)
+    sim.after(0.0, pipeline.start)
+    sim.run()
+    assert pipeline.done
+    return pipeline.result, pipeline
+
+
 def test_single_segment_timing():
     sim, net, client, router, producer, content = line_world(total=100)
     res = fetch(sim, client, content)
@@ -54,12 +89,12 @@ def test_single_segment_timing():
 
 def test_window_one_serializes_rounds():
     sim, net, client, router, producer, content = line_world(total=88000)
-    res = fetch(sim, client, content, window=1)
+    res, pipeline = recorded_fetch(sim, client, content, window=1)
     # 10 segments, one 40 ms round trip each
     assert res.success
     assert res.completion == 400.0
     assert res.delivered_bytes == 88000
-    assert list(res.satisfied_time) == list(range(1, 11))
+    assert list(pipeline.satisfied_time) == list(range(1, 11))
 
 
 def test_wide_window_pipelines_after_discovery():
@@ -83,9 +118,9 @@ def test_cached_content_never_touches_producer():
 
 def test_byte_range_maps_to_segments():
     sim, net, client, router, producer, content = line_world(total=88000)
-    res = fetch(sim, client, content, byte_range=(8800, 26399))
+    res, pipeline = recorded_fetch(sim, client, content, byte_range=(8800, 26399))
     assert res.success
-    assert sorted(res.satisfied_time) == [2, 3]
+    assert sorted(pipeline.satisfied_time) == [2, 3]
     assert res.delivered_bytes == 2 * 8800
 
 
@@ -143,10 +178,10 @@ def test_gives_up_after_max_retries():
 def test_no_segment_refetched_after_satisfaction():
     sim, net, client, router, producer, content = line_world(
         total=880000, loss=0.01)
-    res = fetch(sim, client, content, window=8)
+    res, pipeline = recorded_fetch(sim, client, content, window=8)
     assert res.success
-    for seg, t_ok in res.satisfied_time.items():
-        assert res.last_send_time[seg] <= t_ok
+    for seg, t_ok in pipeline.satisfied_time.items():
+        assert pipeline.last_send_time[seg] <= t_ok
 
 
 def test_srtt_uses_only_clean_samples():
@@ -164,18 +199,20 @@ def test_srtt_uses_only_clean_samples():
 def test_same_time_arrivals_share_one_entry():
     sim, net, client, router, producer, content = line_world(total=88000)
     res = fetch(sim, client, content, window=64)
-    # Segment 1 at 40 ms, then 2..10 together at 80 ms: one tuple for those nine.
-    assert res.arrivals == [(40.0, 8800)] + [(80.0, 8800)] * 9
-    assert all(entry is res.arrivals[1] for entry in res.arrivals[1:])
+    # Segment 1 at 40 ms, then 2..10 together at 80 ms: one entry for those nine.
+    assert res.arrival_times == [40.0, 80.0]
+    assert res.delivered_bytes == 88000
 
 
 def test_arrivals_follow_satisfaction_order():
     sim, net, client, router, producer, content = line_world(
         total=880000 + 123, loss=0.01)
-    res = fetch(sim, client, content, window=8)
+    res, pipeline = recorded_fetch(sim, client, content, window=8)
     assert res.success and res.retransmissions > 0
-    assert res.arrivals == [(t, content.payload_of(seg))
-                            for seg, t in res.satisfied_time.items()]
+    times = [t for _, t in pipeline.satisfactions]
+    assert res.arrival_times == list(dict.fromkeys(times))
+    assert res.delivered_bytes == sum(content.payload_of(seg)
+                                      for seg, _ in pipeline.satisfactions)
 
 
 def test_only_retransmitted_segments_are_counted():

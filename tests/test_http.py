@@ -140,20 +140,20 @@ def test_invalid_ranges_fail():
     sim, net, plane = make_world(size=1000)
     meta = get(sim, plane, byte_range=(5, 3))
     assert not meta.success and meta.reason == "invalid-range"
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
     meta = get(sim, plane, byte_range=(-1, 3))
     assert not meta.success and meta.reason == "invalid-range"
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
     meta = get(sim, plane, byte_range=(0, 1000))
     assert not meta.success and meta.reason == "invalid-range"
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
 
 
 def test_unknown_url_is_not_found():
     sim, net, plane = make_world()
     meta = get(sim, plane, url="/nope")
     assert not meta.success and meta.reason == "not-found"
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
 
 
 def test_dead_first_proxy_refuses_connection():
@@ -161,7 +161,7 @@ def test_dead_first_proxy_refuses_connection():
     net.kill_node("csc")
     meta = get(sim, plane)
     assert not meta.success and meta.reason == "connection-refused"
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
 
 
 def test_dead_upstream_fails_over_to_the_other():
@@ -180,7 +180,7 @@ def test_all_upstreams_dead_fails():
     assert not meta.success
     assert meta.delivered_bytes == 0
     assert net.nodes["client"].counters["failed_transfers"] == 1
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
 
 
 def test_upstream_killed_mid_transfer_breaks_the_chain():
@@ -205,7 +205,7 @@ def test_client_notices_a_dead_forward_proxy(kill_time):
     assert meta.completion == kill_time + 600.0
     assert meta.delivered_bytes == 0
     assert net.nodes["client"].counters["failed_transfers"] == 1
-    assert meta.ttfb is None and meta.arrivals == []
+    assert meta.ttfb is None and meta.arrival_times == []
 
 
 def test_forward_proxy_dead_after_answering_the_syn():

@@ -1,9 +1,12 @@
+import itertools
 import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdnsim.metrics import (CSV_COLUMNS, MetricsRecord, max_gap,
+from cdnsim.metrics import (CSV_COLUMNS, Fetch, MetricsRecord, max_gap,
                             records_to_csv, summarize, summary_to_csv)
 
 
@@ -49,6 +52,35 @@ def test_max_gap():
     assert max_gap([1.0, 2.0, 10.0, 11.0]) == 8.0
     assert max_gap([3.0, 1.0, 2.0]) == 1.0       # unsorted input
     assert max_gap([1.0, 2.0, 10.0, 11.0], window=(0.0, 5.0)) == 1.0
+
+
+def test_arrive_keeps_each_time_once_and_counts_every_byte():
+    fetch = Fetch()
+    for time, nbytes in [(40.0, 8800), (80.0, 8800), (80.0, 8800), (80.0, 123),
+                         (90.0, 0)]:
+        fetch.arrive(time, nbytes)
+    assert fetch.arrival_times == [40.0, 80.0, 90.0]
+    assert fetch.delivered_bytes == 3 * 8800 + 123
+
+
+TIME = st.floats(0.0, 5000.0)
+
+
+# Times as a fetch sees them: nondecreasing, often equal, since one event
+# delivers many segments.  A repeated time adds only zero gaps, so keeping
+# each time once leaves max_gap unchanged, with or without a window.
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(start=TIME,
+       steps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 500.0)), max_size=40),
+       window=st.one_of(st.none(), st.tuples(TIME, TIME)))
+def test_max_gap_ignores_repeated_times(start, steps, window):
+    times = list(itertools.accumulate(steps, initial=start))
+    fetch = Fetch()
+    for time in times:
+        fetch.arrive(time, 1)
+    assert fetch.arrival_times == sorted(set(times))
+    assert fetch.delivered_bytes == len(times)
+    assert max_gap(times, window) == max_gap(fetch.arrival_times, window)
 
 
 def test_summarize_matches_hand_statistics():

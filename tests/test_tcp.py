@@ -89,7 +89,7 @@ def test_ten_segments_fit_in_initial_window():
     assert res.success
     assert res.delivered_bytes == 14600
     assert res.completion == 10.0      # one one-way delay
-    assert len(res.arrivals) == 10
+    assert res.arrival_times == [10.0]  # all ten in one round
 
 
 def test_transfer_result_is_a_fetch_timed_from_its_start():
@@ -100,7 +100,8 @@ def test_transfer_result_is_a_fetch_timed_from_its_start():
     sim.at(100.0, transfer.start)
     sim.run()
     assert out == [transfer.result] and isinstance(out[0], Fetch)
-    assert out[0].arrivals[0] == (110.0, DEFAULT_MSS)
+    assert out[0].arrival_times == [110.0]
+    assert out[0].delivered_bytes == 10 * DEFAULT_MSS
     assert out[0].completion == 10.0        # the duration, not the end time
 
 
@@ -120,7 +121,7 @@ def test_last_segment_may_be_short():
     conn = preestablished(net, "a", "b")
     res = run_transfer(sim, net, conn, DEFAULT_MSS + 1)
     assert res.delivered_bytes == DEFAULT_MSS + 1
-    assert [b for _, b in res.arrivals] == [DEFAULT_MSS, 1]
+    assert len(res.arrival_times) == 1  # both segments in one round
 
 
 def test_tail_loss_causes_rto_and_cwnd_one():
@@ -169,7 +170,7 @@ def test_receiver_death_detected_after_three_rtos():
     assert res.reason == "peer unreachable"
     # bytes that arrived before the kill stay delivered, the rest do not
     assert 0 < res.delivered_bytes < 1000 * DEFAULT_MSS
-    assert all(t <= 45.0 for t, _ in res.arrivals)
+    assert all(t <= 45.0 for t in res.arrival_times)
 
 
 def test_transfer_argument_validation():
@@ -243,12 +244,14 @@ def test_cwnd_trace_matches_oracle(drops):
 
 class PerSegmentTransfer(TcpTransfer):
     """The round loop as it was before rounds were booked in bulk: one loss
-    draw, one received mark, one arrival tuple and one cumulative-ACK step
-    per segment.  `_ack` is shared, so only the round bookkeeping differs."""
+    draw, one received mark, one (time, bytes) arrival and one cumulative-ACK
+    step per segment.  `_ack` is shared, so only the round bookkeeping
+    differs.  `transfer_outcome` fills its result from `arrivals`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._received_count = 0
+        self.arrivals = []
 
     def _segment_bytes(self, seg):
         if seg < self.total_segments:
@@ -289,9 +292,7 @@ class PerSegmentTransfer(TcpTransfer):
             if not self._received[seg]:
                 self._received[seg] = True
                 self._received_count += 1
-                size = self._segment_bytes(seg)
-                self.result.delivered_bytes += size
-                self.result.arrivals.append((now, size))
+                self.arrivals.append((now, self._segment_bytes(seg)))
         while self._cum_ack < self.total_segments and self._received[self._cum_ack + 1]:
             self._cum_ack += 1
         if self._received_count == self.total_segments:
@@ -313,9 +314,16 @@ def transfer_outcome(cls, nbytes, delay, loss, drops, kill, changes=()):
         net.schedule_link_change(t, "a", "b", loss=new_loss)
     conn = preestablished(net, "a", "b")
     out = []
-    cls(net, conn, "a", nbytes, on_done=out.append).start()
+    transfer = cls(net, conn, "a", nbytes, on_done=out.append)
+    transfer.start()
     sim.run()
-    first = [res.arrivals[0][0] for res in out if res.arrivals]
+    if cls is PerSegmentTransfer:
+        # The reference's per-segment arrivals as a `Fetch` holds them: their
+        # distinct times, in order, and their byte sum.
+        times = [t for t, _ in transfer.arrivals]
+        transfer.result.arrival_times = list(dict.fromkeys(times))
+        transfer.result.delivered_bytes = sum(b for _, b in transfer.arrivals)
+    first = [res.arrival_times[0] for res in out if res.arrival_times]
     return out, first, dict(link.tx), link.dropped_loss
 
 
@@ -343,5 +351,3 @@ def test_bulk_rounds_match_per_segment_reference(nbytes, delay, loss, drops, kil
     want = transfer_outcome(PerSegmentTransfer, nbytes, delay, loss, drops, kill,
                             changes)
     assert got == want
-    (res,), _, _, _ = got
-    assert res.delivered_bytes == sum(b for _, b in res.arrivals)
