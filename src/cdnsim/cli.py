@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  run               run an experiment and write records/summary/plot files
+  run               run an experiment; write records.csv, summary.csv and
+                    fig_<X>.dat, made from the records that `run_experiment`
+                    returns, and with --trace trace.txt, in one loop
   list-experiments  print the available experiments
   validate-config   parse and validate a config file
   trace             run one repetition with the event trace enabled
@@ -15,8 +17,8 @@ import argparse
 import os
 import sys
 
-from .experiments import NdnWorld, plot_files, run_experiment
-from .metrics import records_to_csv, summarize, summary_to_csv
+from .experiments import NdnWorld, run_experiment
+from .metrics import plot_files, records_to_csv, summarize, summary_to_csv
 from .scenarios import (EXPERIMENT_SUMMARIES, EXPERIMENTS, PLANES,
                         ConfigError, ScenarioConfig, config_from_dict,
                         load_config, read_config)
@@ -90,17 +92,16 @@ def cmd_run(args) -> int:
     out = run_experiment(cfg, jobs=args.jobs)
     records = sorted(out.records, key=_record_key)
     rows, warnings = summarize(records)
+    # fig_C.dat lists runs, so the plot files read the records in spec order.
+    files = {"records.csv": records_to_csv(records),
+             "summary.csv": summary_to_csv(rows),
+             **plot_files(cfg.experiment, out.records)}
+    if args.trace:
+        files["trace.txt"] = _traced_fetch(cfg, cfg.file_sizes[0])
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "records.csv"), "w") as fh:
-        fh.write(records_to_csv(records))
-    with open(os.path.join(args.out, "summary.csv"), "w") as fh:
-        fh.write(summary_to_csv(rows))
-    for name, text in out.plot_files.items():
+    for name, text in files.items():
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(text)
-    if args.trace:
-        with open(os.path.join(args.out, "trace.txt"), "w") as fh:
-            fh.write(_traced_fetch(cfg, cfg.file_sizes[0]))
     failures = sum(1 for r in records if not r.success)
     print(f"experiment {cfg.experiment}: {len(records)} runs, "
           f"{failures} failed, output in {args.out}/")
@@ -110,9 +111,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-# bench/run.py builds the plot files of records it gathered itself
-# through this name.
-_replot = plot_files
+def _replot(cfg: ScenarioConfig, records) -> dict:
+    """The plot files of records in the order given.  bench/run.py builds
+    the plot files of records it gathered itself through this name."""
+    return plot_files(cfg.experiment, records)
 
 
 def cmd_list(_args) -> int:

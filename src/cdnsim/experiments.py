@@ -14,9 +14,10 @@ label)`, `cache_bytes(node)` and `detail(spec, result)`.
 Each experiment is a list of run specs (`run_specs`): one world each,
 with its seed, its scenario events and the fetches that make its records.
 `execute` runs one spec on its plane's world; `collect` joins the results,
-in spec order, into records, plot data and details.  `run_experiment` does
-both, and owns the process pool behind `cdnsim run --jobs`: the pool
-executes the specs in parallel and writes the same output as a serial run.
+in spec order, into records and details.  `run_experiment` does both, and
+owns the process pool behind `cdnsim run --jobs`: the pool executes the
+specs in parallel and returns the same output as a serial run.  This
+module formats no text: `metrics` turns records into output files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import statistics
 import weakref
 from dataclasses import dataclass, field
 
@@ -43,9 +43,11 @@ CONTENT_URL = "/data_file"
 
 @dataclass
 class ExperimentOutput:
+    """The records of every spec, in spec order, and the per-run details
+    (`NdnWorld.detail`, `HttpWorld.detail`): key -> one value per run
+    that reported it, in spec order."""
     records: list
-    plot_files: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _link_specs(topo: TopologyConfig, loss_access: float, loss_upstream: float):
@@ -404,21 +406,15 @@ def execute(cfg: ScenarioConfig, spec: RunSpec):
     return records, world.detail(spec, results[-1])
 
 
-def collect(cfg: ScenarioConfig, results) -> ExperimentOutput:
+def collect(results) -> ExperimentOutput:
     """Join execute's results, given in spec order, into one output."""
-    details = {}
-    if cfg.experiment == "C":
-        details = {"switch_segment": switch_segment(cfg)}
-    elif cfg.experiment == "E":
-        details = {"kill_time": cfg.kill_time, "ndn_results": []}
-    elif cfg.experiment == "F":
-        details = {"ndn_series": [], "http_upstreams": []}
     records = []
+    details = {}
     for recs, detail in results:
         records += recs
         for key, value in detail.items():
-            details[key].append(value)
-    return ExperimentOutput(records, plot_files(cfg, records), details)
+            details.setdefault(key, []).append(value)
+    return ExperimentOutput(records, details)
 
 
 def run_experiment(cfg: ScenarioConfig, reps=None, jobs: int = 1) -> ExperimentOutput:
@@ -426,35 +422,9 @@ def run_experiment(cfg: ScenarioConfig, reps=None, jobs: int = 1) -> ExperimentO
     jobs > 1 and there is more than one, and collect them in spec order."""
     specs = run_specs(cfg, reps)
     if jobs <= 1 or len(specs) <= 1:
-        return collect(cfg, [execute(cfg, spec) for spec in specs])
+        return collect([execute(cfg, spec) for spec in specs])
     import multiprocessing  # only a pool needs them: importing cdnsim stays light
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        return collect(cfg, list(pool.map(execute, [cfg] * len(specs), specs)))
-
-
-def plot_files(cfg: ScenarioConfig, records) -> dict:
-    """fig_<X>.dat from records in spec order: C lists each run's cache
-    bytes, B the median TTFB per group, the others the median completion
-    time per group.  Groups are `summarize`'s, in its order; only the
-    successful runs' values count, and a group with none is left out."""
-    if cfg.experiment == "C":
-        lines = ["# plane seed cache1_bytes cache2_bytes"]
-        lines += [f"{r.plane} {r.seed} {r.cache1_bytes} {r.cache2_bytes}"
-                  for r in records]
-    else:
-        metric, attr = (("ttfb", "ttfb_ms") if cfg.experiment == "B"
-                        else ("completion", "completion_ms"))
-        groups: dict = {}
-        for r in records:
-            value = getattr(r, attr)
-            if r.success and value is not None:
-                key = (r.experiment, r.plane, r.size_bytes, r.mode)
-                groups.setdefault(key, []).append(value)
-        lines = [f"# plane mode size_bytes {metric}_median_ms"]
-        for key in sorted(groups):
-            _, plane, size, mode = key
-            median = statistics.median(groups[key])
-            lines.append(f"{plane} {mode} {size} {format(median, '.10g')}")
-    return {f"fig_{cfg.experiment}.dat": "\n".join(lines) + "\n"}
+        return collect(pool.map(execute, [cfg] * len(specs), specs))

@@ -1,4 +1,7 @@
-"""Per-run metrics records, aggregation and CSV output."""
+"""Per-run metrics records, their aggregation, and the text of every
+output file made from records: `records.csv` (`records_to_csv`),
+`summary.csv` (`summarize`, `summary_to_csv`) and `fig_<X>.dat`
+(`plot_files`)."""
 
 from __future__ import annotations
 
@@ -144,3 +147,29 @@ def summary_to_csv(rows) -> str:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def plot_files(experiment: str, records) -> dict:
+    """fig_<X>.dat from records in the order given: C lists each run's
+    cache bytes, B the median TTFB per group, the others the median
+    completion time per group.  Groups are `summarize`'s, in its order; only
+    the successful runs' values count, and a group with none is left out."""
+    if experiment == "C":
+        lines = ["# plane seed cache1_bytes cache2_bytes"]
+        lines += [f"{r.plane} {r.seed} {r.cache1_bytes} {r.cache2_bytes}"
+                  for r in records]
+    else:
+        metric, attr = (("ttfb", "ttfb_ms") if experiment == "B"
+                        else ("completion", "completion_ms"))
+        groups: dict = {}
+        for r in records:
+            value = getattr(r, attr)
+            if r.success and value is not None:
+                key = (r.experiment, r.plane, r.size_bytes, r.mode)
+                groups.setdefault(key, []).append(value)
+        lines = [f"# plane mode size_bytes {metric}_median_ms"]
+        for key in sorted(groups):
+            _, plane, size, mode = key
+            median = statistics.median(groups[key])
+            lines.append(f"{plane} {mode} {size} {format(median, '.10g')}")
+    return {f"fig_{experiment}.dat": "\n".join(lines) + "\n"}

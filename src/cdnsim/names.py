@@ -21,11 +21,6 @@ class Name(tuple):
 
     __slots__ = ()
 
-    @property
-    def components(self) -> tuple:
-        """The components as a plain tuple."""
-        return tuple(self)
-
     def __str__(self) -> str:
         if not self:
             return "/"
@@ -55,7 +50,7 @@ def longest_prefix_match(table, query: Name):
     """Return the value whose prefix has the most components among all
     prefixes of `query`, or None.
 
-    `table` maps component tuples (as `NdnNode.fib` does) or Names to
+    `table` maps Names (as `NdnNode.fib` does) or component tuples to
     values; it is probed with slices of `query`, which are plain tuples
     and match Name keys too.  Matching is component-wise: a prefix never
     matches inside a component.

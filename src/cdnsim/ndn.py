@@ -153,13 +153,13 @@ class NdnNode(Node):
         self.cs = ContentStore(cs_capacity) if cs_capacity > 0 else None
         self.strategy = strategy
         self.pit_lifetime = pit_lifetime
-        self.fib: dict[tuple, FibEntry] = {}
+        self.fib: dict[Name, FibEntry] = {}
         self.pit: dict[Name, PitEntry] = {}
         self.faces: list[Optional[Face]] = [None]  # by face id; 0 is APP_FACE
         self.face_out: list[int] = [0]          # packets sent, by face id
         self.face_of: dict[str, int] = {}
         self.qualities: dict[int, FaceQuality] = {}
-        self.producer_contents: dict[tuple, ContentObject] = {}
+        self.producer_contents: dict[Name, ContentObject] = {}
         # Optional per-Interest override of the strategy choice (scripted
         # source switching); returns a face id or None to fall through.
         self.scripted_chooser: Optional[Callable[[Interest], Optional[int]]] = None
@@ -190,10 +190,10 @@ class NdnNode(Node):
         return face_id
 
     def add_route(self, prefix: Name, nexthops):
-        self.fib[prefix.components] = FibEntry(prefix, list(nexthops))
+        self.fib[prefix] = FibEntry(prefix, list(nexthops))
 
     def publish(self, content: ContentObject):
-        self.producer_contents[content.prefix.components] = content
+        self.producer_contents[content.prefix] = content
 
     # --- packet handling ----------------------------------------------------
 

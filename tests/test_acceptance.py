@@ -130,7 +130,7 @@ def test_criterion_4_transparent_failover(monkeypatch):
         assert cfg.repetitions == 10
         out = run_experiment(cfg)
         pipeline_of = {id(p.result): p for p in pipelines}
-        kill_time = out.details["kill_time"]
+        kill_time = cfg.kill_time
         topo = cfg.topology
         rtt = 2.0 * (topo.access_delay + topo.csc_int1_delay
                      + topo.int1_origin_delay)
@@ -147,6 +147,8 @@ def test_criterion_4_transparent_failover(monkeypatch):
             for seg, t_ok in pipeline.satisfied_time.items():
                 if t_ok < kill_time:
                     assert pipeline.last_send_time[seg] <= t_ok
+            # and no satisfied segment is ever issued again
+            assert pipeline.resent == []
         for rec in http:
             assert not rec.success
             assert rec.delivered_bytes < cfg.file_sizes[0]
@@ -279,7 +281,7 @@ def _lpm_case(rng):
     query = Name([rng.choice(comps) for _ in range(rng.randint(0, 4))])
     expected, best = None, -1
     for key, value in table.items():
-        if query.components[:len(key)] == key and len(key) > best:
+        if tuple(query)[:len(key)] == key and len(key) > best:
             expected, best = value, len(key)
     assert longest_prefix_match(table, query) == expected
 

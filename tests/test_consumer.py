@@ -43,22 +43,28 @@ def fetch(sim, client, content, **kw):
 
 class RecordingPipeline(ConsumerPipeline):
     """A pipeline that records what its `Fetch` does not keep: the time of
-    each segment's last `_issue`, and each satisfaction (segment, time) in
-    the order they happened."""
+    each segment's last `_issue`, each satisfaction (segment, time) in the
+    order they happened, and each `_issue` (segment, time) of a segment
+    that was already satisfied."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.last_send_time = {}
         self.satisfactions = []
+        self.satisfied = set()
+        self.resent = []
 
     def _issue(self, seg):
         self.last_send_time[seg] = self.sim.now
+        if seg in self.satisfied:
+            self.resent.append((seg, self.sim.now))
         super()._issue(seg)
 
     def _on_data(self, data):
         seg = data.name.segment()
         if not self.done and seg in self._in_flight:
             self.satisfactions.append((seg, self.sim.now))
+            self.satisfied.add(seg)
         super()._on_data(data)
 
     @property
@@ -182,6 +188,7 @@ def test_no_segment_refetched_after_satisfaction():
     assert res.success
     for seg, t_ok in pipeline.satisfied_time.items():
         assert pipeline.last_send_time[seg] <= t_ok
+    assert pipeline.resent == []
 
 
 def test_srtt_uses_only_clean_samples():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdnsim import experiments, network
 from cdnsim.experiments import (NdnWorld, HttpWorld, execute, experiment_b_topologies,
-                                plot_files, run_experiment, run_specs, switch_segment)
-from cdnsim.metrics import MetricsRecord, records_to_csv, summarize
+                                run_experiment, run_specs, switch_segment)
+from cdnsim.metrics import MetricsRecord, plot_files, records_to_csv, summarize
 from cdnsim.ndn import ConsumerPipeline
 from cdnsim.network import Link, Network, Node
 from cdnsim.scenarios import config_from_dict
@@ -59,7 +59,8 @@ def test_experiment_a_produces_all_groups():
     out = run_experiment(cfg)
     assert len(out.records) == 2 * 2 * 2   # reps x planes x modes
     assert {r.mode for r in out.records} == {"lossless", "lossy"}
-    assert "fig_A.dat" in out.plot_files
+    assert list(plot_files(cfg.experiment, out.records)) == ["fig_A.dat"]
+    assert out.details == {}
 
 
 def test_experiment_b_ttfb_delta_is_one_handshake_rtt():
@@ -87,7 +88,8 @@ def test_experiment_c_cache_split():
     http = by_plane(out.records, "http")[0]
     assert http.cache1_bytes == MB
     assert http.cache2_bytes == MB
-    assert out.details["switch_segment"] == k
+    assert switch_segment(cfg) == k
+    assert out.details == {}
 
 
 def test_experiment_d_counters():
@@ -114,7 +116,10 @@ def test_experiment_e_records_gap_and_success_flags():
                             "repetitions": 1})
     out = run_experiment(cfg)
     assert len(out.records) == 2
-    assert out.details["kill_time"] == 3000.0
+    assert cfg.kill_time == 3000.0
+    # one NDN fetch result per run that reported one: the HTTP run has none
+    assert [r.success for r in out.details["ndn_results"]] == [True]
+    assert set(out.details) == {"ndn_results"}
     # the 2MB transfer ends before the kill, so both planes succeed here
     assert all(r.success for r in out.records)
 
@@ -200,6 +205,33 @@ def test_rep_slices_match_full_run():
     key = lambda r: (r.plane, r.mode, r.seed)
     assert sorted(map(records_to_csv, ([r] for r in full))) == \
         sorted(records_to_csv([r]) for r in sliced)
+
+
+# E's kill and F's degrade land mid-transfer, so every run reports a detail.
+DETAILED = {"E": {"repetitions": 2, "file_sizes": ["1MB"], "kill_time": "250ms"},
+            "F": {"repetitions": 2, "file_sizes": ["1MB"], "degrade_time": "200ms",
+                  "strategy_interval": "50ms"}}
+
+
+@pytest.mark.parametrize("experiment", sorted(DETAILED))
+def test_pool_joins_records_and_details_as_a_serial_run(experiment):
+    cfg = config_from_dict({"experiment": experiment, **DETAILED[experiment]})
+    serial = run_experiment(cfg, jobs=1)
+    pooled = run_experiment(cfg, jobs=2)
+    assert serial.details and all(len(v) == 2 for v in serial.details.values())
+    assert pooled.records == serial.records
+    assert pooled.details == serial.details
+
+
+@pytest.mark.parametrize("experiment, plane, keys", [
+    ("E", "ndn", {"ndn_results"}), ("E", "http", set()),
+    ("F", "ndn", {"ndn_series"}), ("F", "http", {"http_upstreams"})])
+def test_one_plane_run_has_only_its_planes_details(experiment, plane, keys):
+    cfg = config_from_dict({"experiment": experiment, "plane": plane,
+                            **DETAILED[experiment]})
+    out = run_experiment(cfg)
+    assert set(out.details) == keys
+    assert all(len(v) == 2 for v in out.details.values())
 
 
 def test_seed_changes_lossy_outcomes():
@@ -464,7 +496,7 @@ def test_plot_files_equal_the_summarize_reference(drawn):
     """Failed runs, missing values and groups whose runs all failed, in
     any record order: the plot text is what `summarize`'s medians gave."""
     cfg, records = drawn
-    assert plot_files(cfg, records) == reference_plot_files(cfg, records)
+    assert plot_files(cfg.experiment, records) == reference_plot_files(cfg, records)
 
 
 # --- a Content Store at the client ---------------------------------------------

@@ -6,13 +6,13 @@ from cdnsim.names import Name, longest_prefix_match
 
 def test_parse_and_str_round_trip():
     n = Name(("data_file", "segment=7"))
-    assert n.components == ("data_file", "segment=7")
+    assert tuple(n) == ("data_file", "segment=7")
     assert str(n) == "/data_file/segment=7"
 
 
 def test_root_name():
     assert str(Name(())) == "/"
-    assert Name(()).components == ()
+    assert tuple(Name(())) == ()
 
 
 def test_escaping_slash_and_percent():
@@ -37,8 +37,8 @@ def test_segment_requires_digits():
 
 def test_name_is_immutable_and_hashable():
     n = Name(("a", "b"))
-    with pytest.raises(AttributeError):
-        n.components = ()
+    with pytest.raises(TypeError):
+        n[0] = "c"
     assert len({n, Name(("a", "b"))}) == 1
     assert n == ("a", "b") and hash(n) == hash(("a", "b"))
     assert n != ("a",) and n != "/a/b"
@@ -81,7 +81,7 @@ def test_lpm_matches_brute_force(table, query):
     expected = None
     best = -1
     for comps, value in table.items():
-        if query.components[:len(comps)] == comps and len(comps) > best:
+        if tuple(query)[:len(comps)] == comps and len(comps) > best:
             best = len(comps)
             expected = value
     assert longest_prefix_match(table, query) == expected
@@ -102,7 +102,6 @@ def test_name_equals_and_hashes_as_its_components(name):
     comps = tuple(name)
     assert Name(comps) == comps and comps == Name(comps)
     assert hash(Name(comps)) == hash(comps)
-    assert type(name.components) is tuple and name.components == comps
 
 
 @given(names)
@@ -122,8 +121,7 @@ def test_name_has_no_instance_attributes():
     n = Name(("a",))
     with pytest.raises(AttributeError):
         n.extra = 1
-    with pytest.raises(AttributeError):
-        n.components = ("b",)
+    assert not hasattr(n, "__dict__")
 
 
 @given(names)

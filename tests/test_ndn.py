@@ -164,6 +164,14 @@ def test_producer_answers_and_counts_origin_touch():
     assert out == []  # out-of-range segment has no route either
 
 
+def test_fib_and_producer_table_are_keyed_by_the_name():
+    sim, net, r, f_d1, f_d2, f_u = two_face_node()
+    r.publish(ContentObject(PREFIX, 100))
+    for table in (r.fib, r.producer_contents):
+        (key,) = table
+        assert type(key) is Name and key == PREFIX
+
+
 def test_pit_aggregation_sends_one_upstream_interest():
     sim, net, r, f_d1, f_d2, f_u = two_face_node()
     name = PREFIX.with_segment(1)
