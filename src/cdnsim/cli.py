@@ -6,7 +6,8 @@ Subcommands:
                     returns, and with --trace trace.txt, in one loop
   list-experiments  print the available experiments
   validate-config   parse and validate a config file
-  trace             run one repetition with the event trace enabled
+  trace             trace the experiment's first run, its scenario included;
+                    `run --trace` traces the same run, through `execute`
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -17,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .experiments import NdnWorld, run_experiment
+from .experiments import execute, run_experiment, run_specs
 from .metrics import plot_files, records_to_csv, summarize, summary_to_csv
 from .scenarios import (EXPERIMENT_SUMMARIES, EXPERIMENTS, PLANES,
                         ConfigError, ScenarioConfig, config_from_dict,
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--config", help="JSON config file")
     trace.add_argument("--experiment", choices=EXPERIMENTS)
     trace.add_argument("--seed", type=int)
-    trace.add_argument("--size", type=int, help="file size in bytes")
+    trace.add_argument("--size", type=int, help="file_sizes: one size in bytes")
     trace.add_argument("--out", help="write the trace here instead of stdout")
     return parser
 
@@ -64,7 +65,8 @@ def _load(args) -> ScenarioConfig:
     """One raw config, the file's keys with the flags over them, parsed once."""
     flags = {"experiment": args.experiment, "base_seed": args.seed,
              "repetitions": getattr(args, "reps", None),
-             "plane": getattr(args, "plane", None)}
+             "plane": getattr(args, "plane", None),
+             "file_sizes": [args.size] if getattr(args, "size", None) else None}
     if args.config:
         raw = read_config(args.config)
     elif args.experiment:
@@ -80,11 +82,9 @@ def _record_key(rec):
     return (rec.experiment, rec.plane, rec.size_bytes, rec.mode, rec.seed)
 
 
-def _traced_fetch(cfg: ScenarioConfig, size: int) -> str:
-    """The event trace of one NDN fetch of `size` bytes at the base seed."""
-    world = NdnWorld(cfg, cfg.base_seed, size, trace=True)
-    world.fetch()
-    return world.sim.trace_text()
+def _trace(cfg: ScenarioConfig) -> str:
+    """The event trace of cfg's first run: repetition 0's first spec."""
+    return execute(cfg, run_specs(cfg, reps=[0])[0], trace=True)[1]["trace"]
 
 
 def cmd_run(args) -> int:
@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
              "summary.csv": summary_to_csv(rows),
              **plot_files(cfg.experiment, out.records)}
     if args.trace:
-        files["trace.txt"] = _traced_fetch(cfg, cfg.file_sizes[0])
+        files["trace.txt"] = _trace(cfg)
     os.makedirs(args.out, exist_ok=True)
     for name, text in files.items():
         with open(os.path.join(args.out, name), "w") as fh:
@@ -133,8 +133,7 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     if args.size is not None and args.size <= 0:
         raise ConfigError("--size must be a positive number of bytes")
-    cfg = _load(args)
-    text = _traced_fetch(cfg, args.size or cfg.file_sizes[0])
+    text = _trace(_load(args))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

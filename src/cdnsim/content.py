@@ -32,7 +32,6 @@ class Data:
     name: Name
     payload_size: int
     signature_size: int = DEFAULT_SIGNATURE_SIZE
-    freshness: float = 0.0
     # Last segment number of the content this packet belongs to, so a
     # consumer learns the extent of the content from any Data packet.
     final_block: Optional[int] = None

@@ -367,12 +367,13 @@ _REPORTS_ORIGIN = {"A", "C", "D"}
 _REPORTS_CACHE = {"C", "D"}
 
 
-def execute(cfg: ScenarioConfig, spec: RunSpec):
+def execute(cfg: ScenarioConfig, spec: RunSpec, trace: bool = False):
     """Run one spec.  Returns (records, detail): the spec's records in
     fetch order and the per-run values that `collect` appends to the
-    experiment's details."""
+    experiment's details.  With `trace`, detail["trace"] holds the
+    world's event trace; tracing changes nothing else."""
     world = (NdnWorld if spec.plane == "ndn" else HttpWorld)(
-        cfg, spec.seed, spec.size, **spec.world)
+        cfg, spec.seed, spec.size, trace=trace, **spec.world)
     if spec.warm is not None:
         world.warm(*spec.warm)
     world.arm(spec)
@@ -403,7 +404,10 @@ def execute(cfg: ScenarioConfig, spec: RunSpec):
                                      window=(kill_time - 500.0,
                                              kill_time + 1500.0))
         records.append(rec)
-    return records, world.detail(spec, results[-1])
+    detail = world.detail(spec, results[-1])
+    if trace:
+        detail["trace"] = world.sim.trace_text()
+    return records, detail
 
 
 def collect(results) -> ExperimentOutput:

@@ -211,9 +211,7 @@ class Network:
         if loss is not None:
             link.loss = loss
         if self.sim.trace is not None:
-            # No link is ever down; `up=True` keeps pinned traces' bytes.
-            self.sim.log(a, "link-change",
-                         f"{b} delay={link.delay} loss={link.loss} up=True")
+            self.sim.log(a, "link-change", f"{b} delay={link.delay} loss={link.loss}")
 
     def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None):
         if (a, b) not in self.faces:

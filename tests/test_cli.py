@@ -7,6 +7,7 @@ import pytest
 import cdnsim
 from cdnsim.cli import main
 from cdnsim.experiments import NdnWorld
+from test_golden import REDUCED
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -145,12 +146,63 @@ def test_trace_writes_tab_separated_events(tmp_path, capsys):
 
 
 def test_trace_runtime_error_exits_1(monkeypatch, capsys):
-    def broken_fetch(world):
+    def broken_fetch(world, *args):
         raise RuntimeError("fetch broke")
 
     monkeypatch.setattr(NdnWorld, "fetch", broken_fetch)
     assert main(["trace", "--experiment", "B", "--size", "8800"]) == 1
     assert "error: fetch broke" in capsys.readouterr().err
+
+
+def trace_fields(tmp_path, experiment):
+    """The tab-separated fields of each line of `cdnsim trace` on the
+    reduced shipped config of `experiment`."""
+    name = f"experiment_{experiment.lower()}.json"
+    raw = {**json.loads((CONFIG_DIR / name).read_text()), **REDUCED[name]}
+    out = tmp_path / "trace.txt"
+    assert main(["trace", "--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == 0
+    return [line.split("\t") for line in out.read_text().splitlines()]
+
+
+def test_trace_replays_the_kill(tmp_path):
+    kills = [f for f in trace_fields(tmp_path, "E") if f[2] == "killed"]
+    assert [(f[0], f[1]) for f in kills] == [("1000", "int1")]
+
+
+def test_trace_replays_the_degrade(tmp_path):
+    changes = [f for f in trace_fields(tmp_path, "F") if f[2] == "link-change"]
+    assert len(changes) == 1
+
+
+def test_trace_replays_a_range_from_the_warm_cache(tmp_path):
+    # D's first spec fetches 1 MB (120 segments) twice, from int1's cache
+    # warmed with the file's first 2 MB: the origin is never reached.
+    fields = trace_fields(tmp_path, "D")
+    assert fields and not any("origin" in "\t".join(f) for f in fields)
+    segments = [int(n) for f in fields if "Interest(" in f[3]
+                for n in re.findall(r"segment=(\d+)", f[3])]
+    assert segments and max(segments) <= 120
+
+
+def test_trace_replays_the_switch(tmp_path):
+    upstreams = {f[3].split()[0] for f in trace_fields(tmp_path, "C")
+                 if f[1:3] == ["csc", "tx"] and "Interest(" in f[3]}
+    assert upstreams == {"int1", "int2"}
+
+
+def test_trace_size_is_validated_as_file_sizes(capsys):
+    # D's default warm bytes and ranges do not fit an 8800-byte file.
+    assert main(["trace", "--experiment", "D", "--size", "8800"]) == 2
+    assert "warm_bytes: must not exceed file_sizes[0]" in capsys.readouterr().err
+
+
+def test_http_run_traces_its_own_plane(tmp_path):
+    # The HTTP plane logs only kills and link changes, and B has neither.
+    out_dir = tmp_path / "out"
+    assert main(["run", "--experiment", "B", "--plane", "http", "--reps", "1",
+                 "--out", str(out_dir), "--trace"]) == 0
+    assert "Interest" not in (out_dir / "trace.txt").read_text()
 
 
 @pytest.mark.parametrize("size", ["0", "-5"])

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from collections import Counter
@@ -16,6 +17,7 @@ from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import Simulator
 from cdnsim.tcp import tcp_open
 from scripted import script_drops
+from test_golden import CONFIGS, REDUCED
 
 MB = 1 << 20
 
@@ -232,6 +234,23 @@ def test_one_plane_run_has_only_its_planes_details(experiment, plane, keys):
     out = run_experiment(cfg)
     assert set(out.details) == keys
     assert all(len(v) == 2 for v in out.details.values())
+
+
+@pytest.mark.parametrize("config_name, plane",
+                         [(name, plane) for name in sorted(REDUCED)
+                          for plane in ("ndn", "http")])
+def test_tracing_does_not_change_a_run(config_name, plane):
+    raw = {**json.loads((CONFIGS / config_name).read_text()), **REDUCED[config_name]}
+    cfg = config_from_dict(raw)
+    spec = next(s for s in run_specs(cfg) if s.plane == plane)
+    records, detail = execute(cfg, spec)
+    traced_records, traced_detail = execute(cfg, spec, trace=True)
+    trace = traced_detail.pop("trace")
+    assert "trace" not in detail
+    assert traced_records == records
+    assert traced_detail == detail
+    if plane == "ndn":
+        assert trace.startswith("0\tclient\ttx\tcsc Interest(")
 
 
 def test_seed_changes_lossy_outcomes():

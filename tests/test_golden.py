@@ -79,8 +79,8 @@ RUN_SPECS_SHA256 = {
 }
 
 NDN_TRACE_LINES = 1368
-NDN_TRACE_SHA256 = "754097ea32fbc9aede6b3b53e9df17c7d374eba8857378e93613d663cedcf2cf"
-HTTP_TRACE_SHA256 = "d425380371a83e3c6f53c85535bca978a77a3b82fe4936c46d72935cd3b15a2a"
+NDN_TRACE_SHA256 = "097ac57b2bd577c74e0a6a2a64367f09dcf86a4e3956b8edf7714d0f6c4edd48"
+HTTP_TRACE_SHA256 = "014e362f5260e8e3be57353739b3ed93c803e41bd8153c276043e900653e8049"
 
 
 def sha256(data: bytes) -> str:
