@@ -7,7 +7,7 @@ Subcommands:
   list-experiments  print the available experiments
   validate-config   parse and validate a config file
   trace             trace the experiment's first run, its scenario included;
-                    `run --trace` traces the same run, through `execute`
+                    `run --trace` traces that run inside `run_experiment`
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -82,14 +82,9 @@ def _record_key(rec):
     return (rec.experiment, rec.plane, rec.size_bytes, rec.mode, rec.seed)
 
 
-def _trace(cfg: ScenarioConfig) -> str:
-    """The event trace of cfg's first run: repetition 0's first spec."""
-    return execute(cfg, run_specs(cfg, reps=[0])[0], trace=True)[1]["trace"]
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
-    out = run_experiment(cfg, jobs=args.jobs)
+    out = run_experiment(cfg, jobs=args.jobs, trace=args.trace)
     records = sorted(out.records, key=_record_key)
     rows, warnings = summarize(records)
     # fig_C.dat lists runs, so the plot files read the records in spec order.
@@ -97,7 +92,7 @@ def cmd_run(args) -> int:
              "summary.csv": summary_to_csv(rows),
              **plot_files(cfg.experiment, out.records)}
     if args.trace:
-        files["trace.txt"] = _trace(cfg)
+        files["trace.txt"] = out.details["trace"][0]
     os.makedirs(args.out, exist_ok=True)
     for name, text in files.items():
         with open(os.path.join(args.out, name), "w") as fh:
@@ -133,7 +128,9 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     if args.size is not None and args.size <= 0:
         raise ConfigError("--size must be a positive number of bytes")
-    text = _trace(_load(args))
+    cfg = _load(args)
+    # cfg's first run, repetition 0's first spec, which `run --trace` traces.
+    text = execute(cfg, run_specs(cfg, reps=[0])[0], trace=True)[1]["trace"]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -421,14 +421,17 @@ def collect(results) -> ExperimentOutput:
     return ExperimentOutput(records, details)
 
 
-def run_experiment(cfg: ScenarioConfig, reps=None, jobs: int = 1) -> ExperimentOutput:
+def run_experiment(cfg: ScenarioConfig, reps=None, jobs: int = 1,
+                   trace: bool = False) -> ExperimentOutput:
     """Execute every spec, in a pool of `jobs` spawned processes when
-    jobs > 1 and there is more than one, and collect them in spec order."""
+    jobs > 1 and there is more than one, and collect them in spec order.
+    With `trace`, the first spec runs traced: details["trace"] is [its trace]."""
     specs = run_specs(cfg, reps)
+    traced = [trace] + [False] * (len(specs) - 1)
     if jobs <= 1 or len(specs) <= 1:
-        return collect([execute(cfg, spec) for spec in specs])
+        return collect([execute(cfg, *args) for args in zip(specs, traced)])
     import multiprocessing  # only a pool needs them: importing cdnsim stays light
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        return collect(pool.map(execute, [cfg] * len(specs), specs))
+        return collect(pool.map(execute, [cfg] * len(specs), specs, traced))

@@ -1,12 +1,13 @@
 """NDN forwarding engine: FIB, PIT, Content Store, strategies, and the
 consumer retrieval pipeline.
 
-`NdnNode.receive` is the forwarding pipeline, one pass per packet.  An
-Interest is answered locally by a Content Store hit, else by a producer;
-a PIT hit from a new downstream face aggregates; a PIT miss consults the
-FIB (longest prefix match) and a forwarding strategy picks exactly one
-upstream face.  A Data packet retraces the PIT entry's downstream faces
-and is cached on the way.  Every packet leaves through `NdnNode._send`.
+`NdnNode.receive` is the forwarding pipeline, one pass per packet of a
+train (see `network`).  An Interest is answered locally by a Content
+Store hit, else by a producer; a PIT hit from a new downstream face
+aggregates; a PIT miss consults the FIB (longest prefix match) and a
+forwarding strategy picks exactly one upstream face.  A Data packet
+retraces the PIT entry's downstream faces and is cached on the way.
+Every packet leaves through `NdnNode._send`.
 
 A retransmitted Interest (same name and downstream face, fresh nonce) is
 re-forwarded upstream rather than aggregated, so a consumer timeout can
@@ -197,71 +198,79 @@ class NdnNode(Node):
 
     # --- packet handling ----------------------------------------------------
 
-    def receive(self, packet, in_face: int):
-        """Forward one packet that arrived on `in_face`."""
-        pit = self.pit
-        if type(packet) is not Interest:
+    def receive(self, packets, in_face: int):
+        """Forward a train (see `network`) from `in_face`, packet by packet as
+        NFD does; what no packet changes is looked up once, the upstream per prefix."""
+        pit, cs, fib, producer = self.pit, self.cs, self.fib, self.producer_contents
+        send, transmit, chooser = self._send, self.net.transmit, self.scripted_chooser
+        now, pit_lifetime, exclude = self.sim.now, self.pit_lifetime, (in_face,)
+        memo_prefix = memo_face = None
+        for packet in packets:
             name = packet.name
-            self.data_in += 1
-            entry = pit.pop(name, None)  # an expired entry goes too
-            if entry is None or entry.expiry <= self.sim.now:
-                self.unsolicited_data += 1
-                return
-            if self.cs is not None:
-                self.cs.insert(packet)
-            for face_id in entry.in_records:
-                self._send(face_id, packet)
-            return
+            if type(packet) is not Interest:
+                self.data_in += 1
+                entry = pit.pop(name, None)  # an expired entry goes too
+                if entry is None or entry.expiry <= now:
+                    self.unsolicited_data += 1
+                    continue
+                if cs is not None:
+                    cs.insert(packet)
+                for face_id in entry.in_records:
+                    send(face_id, packet, transmit)
+                continue
 
-        name = packet.name
-        self.interests_in += 1
-        if self.cs is not None:
-            data = self.cs.lookup(name)
-            if data is not None:
-                self.cs_hits += 1
-                self._send(in_face, data)
-                return
-            self.cs_misses += 1
-        if self.producer_contents:
-            data = self._producer_lookup(name)
-            if data is not None:
-                self.origin_touches += 1
-                self._send(in_face, data)
-                return
+            self.interests_in += 1
+            if cs is not None:
+                data = cs.lookup(name)
+                if data is not None:
+                    self.cs_hits += 1
+                    send(in_face, data, transmit)
+                    continue
+                self.cs_misses += 1
+            if producer:
+                data = self._producer_lookup(name)
+                if data is not None:
+                    self.origin_touches += 1
+                    send(in_face, data, transmit)
+                    continue
 
-        now = self.sim.now
-        entry = pit.get(name)
-        if entry is not None and entry.expiry <= now:
-            del pit[name]
-            entry = None
-        nonce = packet.nonce
-        expiry = now + min(packet.lifetime, self.pit_lifetime)
-        fresh = entry is None
-        if fresh:
-            entry = pit[name] = PitEntry(name, expiry, in_face, nonce)
-        elif nonce in entry.nonces:
-            self.dup_nonce_drops += 1
-            return
-        else:
-            entry.nonces.add(nonce)
-            if in_face not in entry.in_records:
-                entry.in_records.append(in_face)
-                self.pit_aggregated += 1
-                return
-            # Retransmission: downstream timed out, so push it upstream
-            # again through the strategy.
-        face_id = self._choose_face(packet, exclude=(in_face,))
-        if face_id is None:
-            self.no_route_drops += 1
-            if fresh:
+            entry = pit.get(name)
+            if entry is not None and entry.expiry <= now:
                 del pit[name]
-            return
-        entry.out_face_last = face_id
-        if expiry > entry.expiry:
-            entry.expiry = expiry
-        self._send(face_id, packet)
+                entry = None
+            nonce = packet.nonce
+            expiry = now + min(packet.lifetime, pit_lifetime)
+            fresh = entry is None
+            if fresh:
+                entry = pit[name] = PitEntry(name, expiry, in_face, nonce)
+            elif nonce in entry.nonces:
+                self.dup_nonce_drops += 1
+                continue
+            else:
+                entry.nonces.add(nonce)
+                if in_face not in entry.in_records:
+                    entry.in_records.append(in_face)
+                    self.pit_aggregated += 1
+                    continue
+                # Retransmission: downstream timed out, so push it upstream
+                # again through the strategy.
+            face_id = chooser and chooser(packet)
+            if face_id is None:  # a name is in the FIB or has its prefix's match
+                prefix = name if name in fib else name[:-1]
+                if prefix != memo_prefix:
+                    memo_prefix, memo_face = prefix, self._upstream(prefix, exclude)
+                face_id = memo_face
+            if face_id is None:
+                self.no_route_drops += 1
+                if fresh:
+                    del pit[name]
+                continue
+            entry.out_face_last = face_id
+            if expiry > entry.expiry:
+                entry.expiry = expiry
+            send(face_id, packet, transmit)
 
-    def _send(self, face_id: int, packet):
+    def _send(self, face_id: int, packet, transmit):
         if type(packet) is Interest:
             self.interests_out += 1
         else:
@@ -271,17 +280,16 @@ class NdnNode(Node):
             if self.app_deliver is not None:
                 self.app_deliver(packet)
             return
-        self.net.transmit(self.faces[face_id], packet)
+        transmit(self.faces[face_id], packet)
 
-    def _choose_face(self, interest: Interest, exclude=frozenset()):
-        if self.scripted_chooser is not None:
-            face_id = self.scripted_chooser(interest)
-            if face_id is not None:
-                return face_id
-        fib_entry = longest_prefix_match(self.fib, interest.name)
-        if fib_entry is None:
-            return None
-        return strategy_select(fib_entry, self.qualities, self.strategy, exclude)
+    def _choose_face(self, interest: Interest, exclude):
+        face_id = self.scripted_chooser and self.scripted_chooser(interest)
+        return self._upstream(interest.name, exclude) if face_id is None else face_id
+
+    def _upstream(self, name, exclude):
+        """The strategy's pick for `name`'s longest FIB match, or None."""
+        entry = longest_prefix_match(self.fib, name)
+        return entry and strategy_select(entry, self.qualities, self.strategy, exclude)
 
     def _producer_lookup(self, name: Name):
         seg = name.segment()
@@ -313,7 +321,7 @@ class NdnNode(Node):
                 if alt is not None and alt != face_id:
                     entry.out_face_last = alt
                     self.failover_reforwards += 1
-                    self._send(alt, interest)
+                    self._send(alt, interest, self.net.transmit)
 
 
 class ConsumerPipeline:
@@ -398,7 +406,7 @@ class ConsumerPipeline:
                else max(2.0 * self.srtt, DEFAULT_RTO_MIN_MS))
         sim.at(now + rto, self._timeout, seg, now)
         if self.node.alive:
-            self.node.receive(interest, APP_FACE)
+            self.node.receive((interest,), APP_FACE)
 
     def _on_data(self, data: Data):
         if self.done:

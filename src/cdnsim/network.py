@@ -19,8 +19,10 @@ keep their faces, so a face that held its peer would tie every pair of
 neighbours into a reference cycle (node, face, peer, face, node), and a
 finished world would wait for the cycle collector.  The receiver is
 looked up by name when the packet arrives, and gets
-`receive(packet, in_face)`, where `in_face` is its face id for the link,
-which `NdnNode.add_face` sets on the face.
+`receive(packets, in_face)`, where `in_face` is its face id for the link,
+which `NdnNode.add_face` sets on the face.  `packets` is a train: those
+that reached the face at one time, in the order sent, in one event
+(`Simulator.join`), handled as if each had had an event of its own.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class Face:
 
 
 class Node:
-    """Minimal node: subclasses define `receive(packet, in_face)`; death is fail-stop.
+    """Minimal node: subclasses define `receive(packets, in_face)`; death is fail-stop.
 
     `Network.add_node` sets `sim` and `net`.  `net` is a weak proxy: the
     network owns its nodes, and a strong back-reference would make every
@@ -173,17 +175,23 @@ class Network:
         if sim.trace is not None:
             sim.log(face.src, "tx", f"{face.dst} {packet}")
         # A link delay is never negative, so `after`'s check is not needed.
-        sim.at(sim.now + link.delay, self._deliver, face, packet)
+        sim.join(sim.now + link.delay, self._deliver, face, packet)
         return True
 
-    def _deliver(self, face: Face, packet):
+    def _deliver(self, face: Face, packets: list):
+        """Hand a train to `face.dst`, which drops it all if dead.  Traced, each
+        packet gets its own `rx` line and `receive`, as with one event each.  A
+        raise inside a train loses its rest: no run resumes `Simulator.run`."""
         node = self.nodes[face.dst]
         if not node.alive:
-            node.count("dropped_dead")
+            node.count("dropped_dead", len(packets))
             return
-        if self.sim.trace is not None:
-            self.sim.log(face.dst, "rx", f"{face.src} {packet}")
-        node.receive(packet, face.in_face)
+        if self.sim.trace is None:
+            node.receive(packets, face.in_face)
+        else:
+            for packet in packets:
+                self.sim.log(face.dst, "rx", f"{face.src} {packet}")
+                node.receive((packet,), face.in_face)
 
     # --- fault and parameter-change injection -------------------------------
 

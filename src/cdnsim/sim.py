@@ -3,6 +3,8 @@
 Same-time events share one FIFO list.  Most events of an NDN run fall at
 the time of the event before them (a window of Interests moves hop by hop
 together), so each costs a list append and step, not a heap push and pop.
+`Simulator.join` goes further: packets that reach one face at one time
+travel as one event, a train, in the order they were sent.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ class Simulator:
             heapq.heappush(self._heap, time)
         else:
             queue.append((fn, args))
+
+    def join(self, time: float, fn, key, item):
+        """Queue `fn(key, [item])` at `time`, or append `item` to the list of
+        the event last queued there if it is `fn` on `key` and `time` has not
+        begun (a running event may have read its list)."""
+        queue = self._queues.get(time)
+        if queue is not None and time > self.now:
+            last_fn, args = queue[-1]
+            if last_fn == fn and args[0] is key:
+                args[1].append(item)
+                return
+        self.at(time, fn, key, [item])
 
     def after(self, delay: float, fn, *args):
         if delay < 0:

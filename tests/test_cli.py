@@ -5,6 +5,7 @@ import re
 import pytest
 
 import cdnsim
+from cdnsim import experiments
 from cdnsim.cli import main
 from cdnsim.experiments import NdnWorld
 from test_golden import REDUCED
@@ -115,6 +116,33 @@ def test_run_with_trace_flag_writes_trace(tmp_path):
                  "--trace"]) == 0
     lines = (out_dir / "trace.txt").read_text().splitlines()
     assert lines and all(len(line.split("\t")) == 4 for line in lines)
+
+
+def test_run_trace_traces_its_first_world_without_building_another(tmp_path,
+                                                                    monkeypatch):
+    """B's 24 records come from 24 worlds with `--trace` too, its trace.txt
+    is `cdnsim trace`'s, and `--jobs 2` writes the same directory."""
+    built = []
+    init = experiments.World.__init__
+
+    def counting(world, *args, **kwargs):
+        built.append(type(world).__name__)
+        init(world, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.World, "__init__", counting)
+    out_dir = tmp_path / "jobs1"
+    assert main(["run", "--experiment", "B", "--trace", "--out", str(out_dir)]) == 0
+    assert len((out_dir / "records.csv").read_text().splitlines()) == 1 + 24
+    assert len(built) == 24
+    assert main(["trace", "--experiment", "B", "--out", str(tmp_path / "t.txt")]) == 0
+    assert (out_dir / "trace.txt").read_text() == (tmp_path / "t.txt").read_text()
+    monkeypatch.undo()
+    assert main(["run", "--experiment", "B", "--trace", "--jobs", "2",
+                 "--out", str(tmp_path / "jobs2")]) == 0
+    files = sorted(p.name for p in out_dir.iterdir())
+    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "jobs2" / name).read_bytes() == (out_dir / name).read_bytes()
 
 
 def test_run_experiment_flag_without_config(tmp_path):

@@ -26,12 +26,12 @@ def wire(net, a, b, delay=10.0, loss=0.0):
 
 
 def handled(node, packet, in_face):
-    """The `(face, packet)` pairs that `node.receive(packet, in_face)`
+    """The `(face, packet)` pairs that `node.receive((packet,), in_face)`
     hands to `_send`, recorded instead of sent."""
     sent = []
-    node._send = lambda face_id, pkt: sent.append((face_id, pkt))
+    node._send = lambda face_id, pkt, _transmit: sent.append((face_id, pkt))
     try:
-        node.receive(packet, in_face)
+        node.receive((packet,), in_face)
     finally:
         del node._send
     return sent
@@ -249,7 +249,7 @@ def test_mark_face_dead_reforwards_pending_interests():
     f_u2, u2_back = wire(net, r, net.nodes["u2"])
     r.add_route(PREFIX, [(f_u1, 10), (f_u2, 20)])
     name = PREFIX.with_segment(1)
-    r.receive(Interest(name, nonce=1), f_d)
+    r.receive((Interest(name, nonce=1),), f_d)
     assert r.pit[name].out_face_last == f_u1
     r.mark_face_dead(f_u1)
     assert r.pit[name].out_face_last == f_u2
@@ -268,7 +268,7 @@ def test_mark_face_dead_without_alternative_keeps_entry():
     f_u1, _ = wire(net, r, net.nodes["u1"])
     r.add_route(PREFIX, [(f_u1, 10)])
     name = PREFIX.with_segment(1)
-    r.receive(Interest(name, nonce=1), f_d)
+    r.receive((Interest(name, nonce=1),), f_d)
     r.mark_face_dead(f_u1)
     assert "failover_reforwards" not in r.counters
 
@@ -314,9 +314,11 @@ class ReferenceNode(NdnNode):
     """The forwarding pipeline as it was before `receive` became one pass:
     `process_interest` and `process_data` return `(face, packet)`
     emissions, which `receive` then hands to `_send`, and a PIT entry
-    keeps the nonces of each downstream face."""
+    keeps the nonces of each downstream face.  It takes one packet per
+    call, and chooses each Interest's upstream on its own."""
 
-    def receive(self, packet, in_face):
+    def receive(self, packets, in_face):
+        (packet,) = packets
         if type(packet) is Interest:
             self.interests_in += 1
             emissions = self.process_interest(packet, in_face)
@@ -324,7 +326,7 @@ class ReferenceNode(NdnNode):
             self.data_in += 1
             emissions = self.process_data(packet, in_face)
         for face_id, pkt in emissions:
-            self._send(face_id, pkt)
+            self._send(face_id, pkt, self.net.transmit)
         return emissions
 
     def process_interest(self, interest, in_face):
@@ -396,24 +398,34 @@ OTHER = Name(("other",))
 NAMES = [PREFIX.with_segment(k) for k in (1, 2, 3)] + [OTHER.with_segment(1)]
 
 
-def forwarding_world(cls, cs_capacity, producer):
+def forwarding_world(cls, cs_capacity, producer, strategy=BEST_ROUTE,
+                     chooser=None, segment_route=False):
     """Node r of class cls: downstream faces d1, d2 and the app face,
     upstream faces u1, u2 on one FIB entry, and a recorder of every
-    `(face, packet)` handed to its `_send`."""
-    sim, net, r = make_node(cls=cls, cs_capacity=cs_capacity, pit_lifetime=100.0)
+    `(face, packet)` handed to its `_send`.  Under the weighted strategy
+    u2 weighs less than u1; `chooser(faces)` makes r's scripted chooser;
+    `segment_route` adds a FIB entry on segment 2's whole name, to u2."""
+    sim, net, r = make_node(cls=cls, cs_capacity=cs_capacity, pit_lifetime=100.0,
+                            strategy=strategy)
     faces = {"app": APP_FACE}
     for name in ("d1", "d2", "u1", "u2"):
         net.add_node(NdnNode(name))
         faces[name], _ = wire(net, r, net.nodes[name])
     r.add_route(PREFIX, [(faces["u1"], 10), (faces["u2"], 20)])
+    if segment_route:
+        r.add_route(PREFIX.with_segment(2), [(faces["u2"], 10), (faces["u1"], 20)])
+    r.qualities[faces["u1"]].delay_estimate = 50.0
+    r.qualities[faces["u2"]].delay_estimate = 10.0
+    if chooser is not None:
+        r.scripted_chooser = chooser(faces)
     if producer:
         r.publish(ContentObject(PREFIX, 150, chunk_size=100))  # segments 1, 2
     sent = []
     send = r._send
 
-    def record(face_id, packet):
+    def record(face_id, packet, transmit):
         sent.append((face_id, packet))
-        send(face_id, packet)
+        send(face_id, packet, transmit)
 
     r._send = record
     return sim, net, r, faces, sent
@@ -437,36 +449,81 @@ STEPS = st.one_of(
 )
 
 
+def odd_segments_to_u2(faces):
+    """C's kind of chooser: some Interests to a fixed face, the rest
+    (None) to the strategy."""
+    return lambda interest: faces["u2"] if (interest.name.segment() or 0) % 2 else None
+
+
+def trains(steps):
+    """The steps in order, with each run of consecutive packet steps on
+    one face gathered into one `("train", face, packets)` step."""
+    out = []
+    for step in steps:
+        if step[0] == "interest":
+            _, name, nonce, face, lifetime = step
+            packet = Interest(name, nonce=nonce, lifetime=lifetime)
+        elif step[0] == "data":
+            _, name, face = step
+            packet = Data(name, payload_size=100)
+        else:
+            out.append(step)
+            continue
+        if out and out[-1][0] == "train" and out[-1][1] == face:
+            out[-1][2].append(packet)
+        else:
+            out.append(("train", face, [packet]))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(cs_capacity=st.sampled_from([0, 300, 1 << 20]), producer=st.booleans(),
+       strategy=st.sampled_from([BEST_ROUTE, WEIGHTED]),
+       chooser=st.sampled_from([None, odd_segments_to_u2]),
+       segment_route=st.booleans(),
        steps=st.lists(STEPS, min_size=5, max_size=40))
 @example(cs_capacity=0, producer=False,  # an Interest at its entry's expiry
+         strategy=BEST_ROUTE, chooser=None, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
                 ("interest", NAMES[0], 2, "d2", 10.0)])
 @example(cs_capacity=0, producer=False,  # a Data at its entry's expiry
+         strategy=BEST_ROUTE, chooser=None, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
                 ("data", NAMES[0], "u1")])
 @example(cs_capacity=0, producer=False,  # a retransmission with no route left
+         strategy=BEST_ROUTE, chooser=None, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 50.0), ("dead", "u1"),
                 ("dead", "u2"), ("interest", NAMES[0], 2, "d1", 50.0),
                 ("data", NAMES[0], "u1")])
-def test_receive_matches_the_emissions_reference(cs_capacity, producer, steps):
-    """The one-pass `receive` sends the same packets on the same faces and
-    leaves the same counters, PIT and Content Store as the reference, with
+@example(cs_capacity=0, producer=False,  # one train over a whole-name route
+         strategy=BEST_ROUTE, chooser=None, segment_route=True,
+         steps=[("interest", NAMES[0], 1, "d1", 50.0),
+                ("interest", NAMES[1], 2, "d1", 50.0),
+                ("interest", NAMES[2], 3, "d1", 50.0),
+                ("interest", NAMES[3], 4, "d1", 50.0),
+                ("interest", NAMES[0], 5, "d1", 50.0)])
+def test_receive_matches_the_emissions_reference(cs_capacity, producer, strategy,
+                                                 chooser, segment_route, steps):
+    """`receive`, given each run of same-face packets as one train, sends
+    the same packets on the same faces and leaves the same counters, PIT
+    and Content Store as the reference given one packet per call, with
     repeated nonces, aggregation, expiry, an evicting Content Store (300
-    bytes hold two 132-byte Data), a producer, unsolicited Data and dead
-    upstream faces."""
-    worlds = [forwarding_world(cls, cs_capacity, producer)
+    bytes hold two 132-byte Data), a producer, unsolicited Data, dead
+    upstream faces, both strategies, a scripted chooser and a FIB entry
+    on a whole segment name inside trains of several prefixes."""
+    worlds = [forwarding_world(cls, cs_capacity, producer, strategy, chooser,
+                               segment_route)
               for cls in (NdnNode, ReferenceNode)]
-    for step in steps:
+    for step in trains(steps):
         for sim, _net, r, faces, sent in worlds:
             kind = step[0]
-            if kind == "interest":
-                _, name, nonce, face, lifetime = step
-                r.receive(Interest(name, nonce=nonce, lifetime=lifetime), faces[face])
-            elif kind == "data":
-                _, name, face = step
-                r.receive(Data(name, payload_size=100), faces[face])
+            if kind == "train":
+                _, face, packets = step
+                if type(r) is NdnNode:
+                    r.receive(tuple(packets), faces[face])
+                else:
+                    for packet in packets:
+                        r.receive((packet,), faces[face])
             elif kind == "advance":
                 sim.at(sim.now + step[1], lambda: None)
                 sim.run()

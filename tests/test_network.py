@@ -1,12 +1,15 @@
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cdnsim.experiments import NdnWorld
+from cdnsim import experiments
+from cdnsim.experiments import NdnWorld, execute, run_specs
 from cdnsim.names import Name
 from cdnsim.network import Link, Network, Node
-from cdnsim.scenarios import config_from_dict
+from cdnsim.scenarios import NODES, config_from_dict
 from cdnsim.sim import SimError, Simulator
 from scripted import script_drops
 
@@ -19,8 +22,8 @@ class Sink(Node):
         super().__init__(name)
         self.received = []
 
-    def receive(self, packet, in_face):
-        self.received.append((self.sim.now, in_face, packet))
+    def receive(self, packets, in_face):
+        self.received += [(self.sim.now, in_face, packet) for packet in packets]
 
 
 def make_net(loss=0.0, delay=10.0, seed=1):
@@ -252,3 +255,149 @@ def test_stream_built_on_first_lossy_draw_matches_a_lossy_link(n, loss, directio
     assert any(got)
     assert list(link._rng) == [direction]
     assert link.tx[direction] == n + 1000
+
+
+def test_a_time_that_has_begun_starts_no_train():
+    """A packet sent at `now` over a zero-delay link, on the face whose
+    delivery is running, is delivered by an event of its own after it,
+    even by a receiver that reads its train once."""
+    sim, net, a, b = make_net(delay=0.0)
+    face = net.face("a", "b")
+    order = []
+
+    def receive(packets, in_face):
+        order.append(("rx", list(packets)))
+        if "ping" in packets:
+            net.transmit(face, "echo")
+            sim.at(sim.now, order.append, "after echo")
+
+    b.receive = receive
+    sim.at(5.0, net.transmit, face, "ping")
+    sim.at(5.0, order.append, "queued before")
+    sim.run()
+    assert order == ["queued before", ("rx", ["ping"]), ("rx", ["echo"]),
+                     "after echo"]
+    assert sim.executed == 5
+
+
+def test_packets_sent_together_arrive_as_one_train():
+    """A train holds the packets sent on one face for one time with no
+    other event queued between them for that time."""
+    sim, net, a, b = make_net(delay=10.0)
+    order = []
+    a.receive = lambda packets, in_face: order.append(("a", list(packets)))
+    b.receive = lambda packets, in_face: order.append(("b", list(packets)))
+    for i in range(5):
+        net.transmit(net.face("a", "b"), i)
+    net.transmit(net.face("b", "a"), "back")
+    net.transmit(net.face("a", "b"), 5)
+    sim.at(10.0, order.append, "queued between")
+    net.transmit(net.face("a", "b"), 6)
+    net.transmit(net.face("a", "b"), 7)
+    sim.run()
+    assert order == [("b", [0, 1, 2, 3, 4]), ("a", ["back"]), ("b", [5]),
+                     "queued between", ("b", [6, 7])]
+    assert sim.executed == 5
+
+
+class PerPacketNetwork(Network):
+    """The reference: `Network` with one delivery event, and one
+    `receive`, per packet, as before packets travelled in trains."""
+
+    def transmit(self, face, packet):
+        sim = self.sim
+        link = face.link
+        if link.loss <= 0.0:
+            link.tx[(face.src, face.dst)] += 1
+        elif link.should_drop(face.src, face.dst):
+            if sim.trace is not None:
+                sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
+            return False
+        if sim.trace is not None:
+            sim.log(face.src, "tx", f"{face.dst} {packet}")
+        sim.at(sim.now + link.delay, self._deliver, face, packet)
+        return True
+
+    def _deliver(self, face, packet):
+        node = self.nodes[face.dst]
+        if not node.alive:
+            node.count("dropped_dead")
+            return
+        if self.sim.trace is not None:
+            self.sim.log(face.dst, "rx", f"{face.src} {packet}")
+        node.receive((packet,), face.in_face)
+
+
+def recording(network_cls, built):
+    """A factory of `network_cls` networks, each appended to `built`,
+    whose nodes log every `(time, in_face, packet)` they receive."""
+
+    class Recording(network_cls):
+        def add_node(self, node):
+            node.log = log = []
+            receive, sim = node.receive, self.sim
+
+            def logged(packets, in_face):
+                log.extend((sim.now, in_face, packet) for packet in packets)
+                receive(packets, in_face)
+
+            node.receive = logged
+            return super().add_node(node)
+
+    def build(sim, seed):
+        built.append(Recording(sim, seed))
+        return built[-1]
+    return build
+
+
+def run_recorded(network_cls, cfg, spec, trace):
+    built = []
+    with mock.patch.object(experiments, "Network", recording(network_cls, built)):
+        records, detail = execute(cfg, spec, trace=trace)
+    (net,) = built
+    links = {id(face.link): face.link for face in net.faces.values()}.values()
+    nodes = [(name, node.counters, list(node.face_out), node.log)
+             for name, node in net.nodes.items()]
+    return (records, detail, nodes,
+            [(dict(link.tx), link.dropped_loss) for link in links]), net.sim.executed
+
+
+DELAYS = st.sampled_from([0.0, 1.0, 5.0, 10.0, 50.0])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(experiment=st.sampled_from("ACEF"),
+       size=st.sampled_from([1, 30_000, 100_000, 300_000]),
+       delays=st.tuples(*[DELAYS] * 5),
+       loss=st.sampled_from([0.0, 0.02, 0.2]),
+       lossy_mode=st.booleans(),
+       kill=st.none() | st.tuples(st.sampled_from([0.0, 30.0, 100.0, 250.0]),
+                                  st.sampled_from(NODES)),
+       degrade=st.none() | st.tuples(st.sampled_from([0.0, 20.0, 100.0]),
+                                     DELAYS, st.sampled_from([0.0, 0.05])),
+       trace=st.booleans())
+@example(experiment="A", size=100_000, delays=(0.0,) * 5, loss=0.2,
+         lossy_mode=True, kill=None, degrade=None, trace=False)
+@example(experiment="E", size=100_000, delays=(10.0, 0.0, 5.0, 0.0, 1.0),
+         loss=0.0, lossy_mode=False, kill=(100.0, "int1"),
+         degrade=(20.0, 0.0, 0.05), trace=False)
+def test_trains_match_one_event_per_packet(experiment, size, delays, loss,
+                                           lossy_mode, kill, degrade, trace):
+    """Small NDN worlds of A's, C's, E's and F's shapes, with zero
+    delays, loss, a kill and a link change: trains give the same records,
+    details, traces, node counters, per-face sends, link counts and, at
+    every node, the same `(time, in_face, packet)` sequence as the
+    per-packet reference, from no more events."""
+    topo = dict(zip(("access_delay", "csc_int1_delay", "csc_int2_delay",
+                     "int1_origin_delay", "int2_origin_delay"), delays))
+    cfg = config_from_dict({"experiment": experiment, "plane": "ndn",
+                            "repetitions": 1, "file_sizes": [size],
+                            "lossy_access": loss, "lossy_upstream": loss / 4,
+                            "topology": topo})
+    spec = run_specs(cfg)[int(lossy_mode and experiment == "A")]
+    spec = dataclasses.replace(spec, kill=kill or spec.kill,
+                               degrade=degrade or spec.degrade)
+    got, events = run_recorded(Network, cfg, spec, trace)
+    want, reference_events = run_recorded(PerPacketNetwork, cfg, spec, trace)
+    assert got == want
+    assert events <= reference_events
