@@ -5,11 +5,13 @@ the six comparative experiments (A-F, summarized in
 Topology (defaults): client --50ms-- csc --10ms-- {int1, int2} -- origin,
 with int1 10 ms and int2 50 ms from the origin.  `World` builds what both
 planes share, the simulator, the network, its nodes and these links, and
-`arm` schedules a run's kill and link degrade.  `NdnWorld` runs a consumer
-pipeline against forwarding nodes with Content Stores; `HttpWorld` runs a
-forward proxy (csc), two reverse proxies (int1, int2) and an origin behind
-TCP hops.  Each plane defines `warm(node, nbytes)`, `fetch(byte_range,
-label)`, `cache_bytes(node)` and `detail(spec, result)`.
+`arm` sets up a run's scenario in one place: its kill and link degrade,
+and on the NDN plane F's quality oracle and C's switch, which is FIB routes
+at csc.  `NdnWorld` runs a consumer pipeline against forwarding nodes with
+Content Stores; `HttpWorld` runs a forward proxy (csc), two reverse proxies
+(int1, int2) and an origin behind TCP hops.  Each plane defines
+`warm(node, nbytes)`, `fetch(byte_range, label)`, `cache_bytes(node)` and
+`detail(spec, result)`.
 
 Each experiment is a list of run specs (`run_specs`): one world each,
 with its seed, its scenario events and the fetches that make its records.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 from .content import ContentObject
@@ -102,10 +103,8 @@ class World:
         if spec.kill is not None:
             self.net.schedule_kill(*spec.kill)
         if spec.degrade is not None:
-            self.degrade(*spec.degrade)
-
-    def degrade(self, when: float, delay: float, loss: float):
-        self.net.schedule_link_change(when, "csc", "int1", delay=delay, loss=loss)
+            when, delay, loss = spec.degrade
+            self.net.schedule_link_change(when, "csc", "int1", delay=delay, loss=loss)
 
     @property
     def origin_touches(self) -> int:
@@ -137,21 +136,17 @@ class NdnWorld(World):
         self._fetches = 0
 
     def arm(self, spec: RunSpec):
+        """Also start F's quality oracle on a degrade, and set up C's switch.
+        Scheduled first, the oracle's first tick runs before a change at 0."""
+        if spec.degrade is not None:
+            self.sim.at(self.sim.now, self._oracle_tick)
         super().arm(spec)
         if spec.switch_segment is not None:
             self.script_switch(spec.switch_segment)
 
-    def degrade(self, when: float, delay: float, loss: float):
-        # Scheduled first, the oracle's first tick runs before a change at 0.
-        self.install_quality_oracle()
-        super().degrade(when, delay, loss)
-
-    def install_quality_oracle(self):
+    def _oracle_tick(self):
         """Every strategy interval, give csc each face's true delay, loss
         and liveness, and record the upstream its strategy would pick."""
-        self.sim.at(self.sim.now, self._oracle_tick)
-
-    def _oracle_tick(self):
         node = self.nodes["csc"]
         if self.finished or not node.alive:
             return
@@ -169,17 +164,14 @@ class NdnWorld(World):
         self.sim.after(self.cfg.strategy_interval, self._oracle_tick)
 
     def script_switch(self, k: int):
-        """Send the first fetch's segments 1..k from csc to int1 and every
-        other Interest to int2: C's mid-transfer source switch."""
-        face1, face2 = (self.nodes["csc"].face_of[b] for b in ("int1", "int2"))
-        world = weakref.ref(self)  # csc keeps the chooser; it must not keep the world
-
-        def choose(interest):
-            if world()._fetches == 1 and (interest.name.segment() or 0) <= k:
-                return face1
-            return face2
-
-        self.nodes["csc"].scripted_chooser = choose
+        """C's mid-transfer source switch as routes at csc: the content's
+        prefix to int2, and each of segments 1..k, by its whole name, to int1
+        until the first fetch ends (see `fetch`)."""
+        csc = self.nodes["csc"]
+        face1, face2 = (csc.face_of[b] for b in ("int1", "int2"))
+        csc.add_route(CONTENT_PREFIX, [(face2, 10)])
+        for seg in range(1, k + 1):
+            csc.add_route(CONTENT_PREFIX.with_segment(seg), [(face1, 10)])
 
     def warm(self, node_name: str, nbytes: int):
         """Cache the whole segments that hold the first `nbytes` at node_name."""
@@ -191,11 +183,9 @@ class NdnWorld(World):
 
     def fetch(self, byte_range=None, label: str = "fetch") -> Fetch:
         self._fetches += 1
-        holder = {}
 
-        def done(result):
-            holder["result"] = result
-            self.finished = True
+        def done(_result):
+            self.finished = True  # stops F's oracle ticks
 
         pipeline = ConsumerPipeline(
             self.nodes["client"], CONTENT_PREFIX,
@@ -206,7 +196,9 @@ class NdnWorld(World):
         self.sim.after(0.0, pipeline.start)
         self.sim.run()
         self.finished = False
-        return holder["result"]
+        csc = self.nodes["csc"]  # withdraw C's segment routes: only the prefix's stays
+        csc.fib = {CONTENT_PREFIX: csc.fib[CONTENT_PREFIX]}
+        return pipeline.result
 
     def cache_bytes(self, node_name: str) -> int:
         cs = self.nodes[node_name].cs
@@ -309,7 +301,7 @@ class RunSpec:
     byte_range: tuple | None = None    # inclusive, for every fetch
     kill: tuple | None = None          # (time, node)
     degrade: tuple | None = None       # (time, delay, loss) of csc--int1
-    switch_segment: int | None = None  # see NdnWorld.script_switch
+    switch_segment: int | None = None  # C's routes: see NdnWorld.script_switch
     fetches: tuple = (("fetch",),)
 
 

@@ -67,10 +67,11 @@ class MetricsRecord:
     max_gap_ms: Optional[float] = None
 
     @property
-    def goodput(self) -> float:
-        if not self.success or not self.completion_ms:
+    def goodput(self) -> Optional[float]:
+        """Bytes per ms: 0 for a failed run, None for one that took no time."""
+        if not self.success:
             return 0.0
-        return self.delivered_bytes / self.completion_ms
+        return self.delivered_bytes / self.completion_ms if self.completion_ms else None
 
     def to_row(self) -> list:
         return [

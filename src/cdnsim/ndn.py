@@ -5,7 +5,9 @@ consumer retrieval pipeline.
 train (see `network`).  An Interest is answered locally by a Content
 Store hit, else by a producer; a PIT hit from a new downstream face
 aggregates; a PIT miss consults the FIB (longest prefix match) and a
-forwarding strategy picks exactly one upstream face.  A Data packet
+forwarding strategy picks exactly one upstream face.  The FIB and the
+strategy are the only way a node picks an upstream, failover included: a
+scenario that steers some names elsewhere adds routes.  A Data packet
 retraces the PIT entry's downstream faces and is cached on the way.
 Every packet leaves through `NdnNode._send`.
 
@@ -161,9 +163,6 @@ class NdnNode(Node):
         self.face_of: dict[str, int] = {}
         self.qualities: dict[int, FaceQuality] = {}
         self.producer_contents: dict[Name, ContentObject] = {}
-        # Optional per-Interest override of the strategy choice (scripted
-        # source switching); returns a face id or None to fall through.
-        self.scripted_chooser: Optional[Callable[[Interest], Optional[int]]] = None
         self.app_deliver: Optional[Callable[[Data], None]] = None
 
     @property
@@ -202,7 +201,7 @@ class NdnNode(Node):
         """Forward a train (see `network`) from `in_face`, packet by packet as
         NFD does; what no packet changes is looked up once, the upstream per prefix."""
         pit, cs, fib, producer = self.pit, self.cs, self.fib, self.producer_contents
-        send, transmit, chooser = self._send, self.net.transmit, self.scripted_chooser
+        send, transmit = self._send, self.net.transmit
         now, pit_lifetime, exclude = self.sim.now, self.pit_lifetime, (in_face,)
         memo_prefix = memo_face = None
         for packet in packets:
@@ -254,12 +253,11 @@ class NdnNode(Node):
                     continue
                 # Retransmission: downstream timed out, so push it upstream
                 # again through the strategy.
-            face_id = chooser and chooser(packet)
-            if face_id is None:  # a name is in the FIB or has its prefix's match
-                prefix = name if name in fib else name[:-1]
-                if prefix != memo_prefix:
-                    memo_prefix, memo_face = prefix, self._upstream(prefix, exclude)
-                face_id = memo_face
+            # A name is in the FIB or has its prefix's match.
+            prefix = name if name in fib else name[:-1]
+            if prefix != memo_prefix:
+                memo_prefix, memo_face = prefix, self._upstream(prefix, exclude)
+            face_id = memo_face
             if face_id is None:
                 self.no_route_drops += 1
                 if fresh:
@@ -281,10 +279,6 @@ class NdnNode(Node):
                 self.app_deliver(packet)
             return
         transmit(self.faces[face_id], packet)
-
-    def _choose_face(self, interest: Interest, exclude):
-        face_id = self.scripted_chooser and self.scripted_chooser(interest)
-        return self._upstream(interest.name, exclude) if face_id is None else face_id
 
     def _upstream(self, name, exclude):
         """The strategy's pick for `name`'s longest FIB match, or None."""
@@ -316,12 +310,12 @@ class NdnNode(Node):
         now = self.sim.now
         for entry in list(self.pit.values()):
             if entry.out_face_last == face_id and entry.expiry > now:
-                interest = Interest(entry.name, nonce=0, lifetime=self.pit_lifetime)
-                alt = self._choose_face(interest, exclude=set(entry.in_records))
+                alt = self._upstream(entry.name, set(entry.in_records))
                 if alt is not None and alt != face_id:
                     entry.out_face_last = alt
                     self.failover_reforwards += 1
-                    self._send(alt, interest, self.net.transmit)
+                    self._send(alt, Interest(entry.name, nonce=0, lifetime=self.pit_lifetime),
+                               self.net.transmit)
 
 
 class ConsumerPipeline:

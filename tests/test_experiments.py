@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdnsim import experiments, network
-from cdnsim.experiments import (NdnWorld, HttpWorld, execute, experiment_b_topologies,
-                                run_experiment, run_specs, switch_segment)
+from cdnsim.experiments import (NdnWorld, HttpWorld, RunSpec, execute,
+                                experiment_b_topologies, run_experiment, run_specs,
+                                switch_segment)
 from cdnsim.metrics import MetricsRecord, plot_files, records_to_csv, summarize
 from cdnsim.ndn import ConsumerPipeline
 from cdnsim.network import Link, Network, Node
@@ -278,6 +279,13 @@ def small_world(experiment, config=None, **world):
     return NdnWorld(cfg, seed=3, size=cfg.file_sizes[0], **world)
 
 
+def armed(world, **scenario):
+    """world, armed with a spec that holds only `scenario`."""
+    world.arm(RunSpec(world.cfg.experiment, "ndn", world.content.total_size, "",
+                      0, world.seed, **scenario))
+    return world
+
+
 def fetched_a_lossy():
     world = small_world("A", loss_access=0.05, loss_upstream=0.05)
     world.fetch()
@@ -293,7 +301,7 @@ def fetched_b_warm():
 
 def fetched_c_switch():
     world = small_world("C")
-    world.script_switch(switch_segment(world.cfg))
+    armed(world, switch_segment=switch_segment(world.cfg))
     world.fetch(label="first")
     world.fetch(label="second")
     return world
@@ -315,9 +323,8 @@ def fetched_e_kill():
 
 
 def fetched_f_oracle():
-    world = small_world("F", strategy="weighted-best-path")
-    world.install_quality_oracle()
-    world.net.schedule_link_change(200.0, "csc", "int1", delay=100.0, loss=0.01)
+    world = armed(small_world("F", strategy="weighted-best-path"),
+                  degrade=(200.0, 100.0, 0.01))
     world.fetch()
     return world
 

@@ -66,6 +66,39 @@ GOLDEN = {
     },
 }
 
+# Small lossy NDN runs of the shipped C config: csc's switch under
+# retransmission, on both upstream links, with each cache choice.
+LOSSY_C = {
+    "c-256KB-switch-0.1": {
+        "plane": "ndn", "repetitions": 2, "file_sizes": ["256KB"], "switch_fraction": 0.1,
+        "cache_nodes": ["int1", "int2"],
+        "topology": {"csc_int1_loss": "5%", "csc_int2_loss": "1%"}},
+    "c-512KB-switch-0.5": {
+        "plane": "ndn", "repetitions": 2, "file_sizes": ["512KB"], "switch_fraction": 0.5,
+        "cache_nodes": ["int1"], "topology": {"csc_int1_loss": "2%", "csc_int2_loss": "3%"}},
+    "c-1MB-switch-1": {
+        "plane": "ndn", "repetitions": 1, "file_sizes": ["1MB"], "switch_fraction": 1,
+        "cache_nodes": ["int2"], "topology": {"csc_int1_loss": "1%", "csc_int2_loss": "5%"}},
+}
+
+GOLDEN_LOSSY_C = {
+    "c-256KB-switch-0.1": {
+        "fig_C.dat": "f6ce63b0bd985e0d4f268b7ea2403126b5d6f2d9baa3315991a54a4aaa5d03bb",
+        "records.csv": "5d9eadd81dc86082c9246a9ac529e0d6105a66911f07f187984423eacf3c5c55",
+        "summary.csv": "4b3d04a0904f52deff32dce63613b364ff1cbb73784bbc018b1f932a88433a14",
+    },
+    "c-512KB-switch-0.5": {
+        "fig_C.dat": "28e375592b437eaea20a69bc9cb594b5003a8ed69d64348d877702b0e77d1dd7",
+        "records.csv": "9a6f907e12e4731a3153bf13c70b8cd7b40e09f1b5bd2b724fb9e00ca742262f",
+        "summary.csv": "263d6355cae12f87721ab71585b6c80f4401a0a87384ffb7fb5524899e7bbb0a",
+    },
+    "c-1MB-switch-1": {
+        "fig_C.dat": "aaf864056a23f56a698e5f1a36601d283bd8f0c36407226808062758a23eed64",
+        "records.csv": "3d66b4d912be85d5a4c6cb0b8879ea71ee772f228f251b167a566ae13e75e04c",
+        "summary.csv": "cffd5eb40d5e93d25494a4a30e5e4936eeb48b624ae6aae44cc7cd665b00e9cd",
+    },
+}
+
 # sha256 of repr(run_specs(cfg)) for each shipped config, at full size.  In
 # B, C, D and E every link is lossless, so a spec's seed reaches only NDN
 # nonces and no output digest would catch a wrong seed label.
@@ -109,6 +142,12 @@ def run_outputs(tmp_path, config_name, jobs=1) -> dict:
     for name in sorted(REDUCED) for jobs in (1, 2)])
 def test_run_outputs_match_golden(tmp_path, config_name, jobs):
     assert run_outputs(tmp_path, config_name, jobs) == GOLDEN[config_name]
+
+
+@pytest.mark.parametrize("name", sorted(LOSSY_C))
+def test_lossy_c_outputs_match_golden(tmp_path, name):
+    files = run_files(tmp_path, "experiment_c.json", LOSSY_C[name])
+    assert {file: sha256(data) for file, data in files.items()} == GOLDEN_LOSSY_C[name]
 
 
 @pytest.mark.parametrize("config_name", sorted(RUN_SPECS_SHA256))

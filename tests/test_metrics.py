@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdnsim.metrics import (CSV_COLUMNS, Fetch, MetricsRecord, max_gap,
+from cdnsim.experiments import run_experiment
+from cdnsim.metrics import (CSV_COLUMNS, SUMMARY_COLUMNS, Fetch, MetricsRecord, max_gap,
                             records_to_csv, summarize, summary_to_csv)
+from cdnsim.scenarios import config_from_dict
 
 
 def rec(**kw):
@@ -25,7 +27,32 @@ def test_goodput_is_bytes_per_ms():
 def test_failed_run_has_zero_goodput():
     r = rec(delivered_bytes=1000, completion_ms=250.0, success=False)
     assert r.goodput == 0.0
-    assert rec(completion_ms=None).goodput == 0.0
+
+
+def test_successful_run_that_took_no_time_has_no_goodput():
+    assert rec(completion_ms=None).goodput is None
+    assert rec(delivered_bytes=1000, completion_ms=0.0).goodput is None
+    assert rec(completion_ms=0.0, success=False).goodput == 0.0
+    fields = records_to_csv([rec(delivered_bytes=1000, completion_ms=0.0)]).splitlines()[1]
+    assert fields.split(",")[CSV_COLUMNS.index("goodput_Bpms")] == ""
+
+
+def test_zero_delay_runs_leave_their_goodput_out_of_the_summary():
+    """On zero-delay links a lossless fetch takes no time.  The lossy group's
+    goodput is that of its one timed run, and the lossless group has none."""
+    zero = {key: "0ms" for key in ("access_delay", "csc_int1_delay", "csc_int2_delay",
+                                   "int1_origin_delay", "int2_origin_delay")}
+    cfg = config_from_dict({"experiment": "A", "plane": "ndn", "repetitions": 2,
+                            "file_sizes": ["64KB"], "lossy_access": "5%",
+                            "topology": zero})
+    records = run_experiment(cfg).records
+    assert [(r.mode, r.completion_ms, r.goodput) for r in records] == [
+        ("lossless", 0.0, None), ("lossy", 200.0, 65536 / 200.0),
+        ("lossless", 0.0, None), ("lossy", 0.0, None)]
+    rows, _ = summarize(records)
+    goodput = SUMMARY_COLUMNS.index("goodput_mean")
+    assert {row[3]: row[goodput:] for row in rows} == {
+        "lossless": [None, None, None], "lossy": [327.68, 327.68, 0.0]}
 
 
 def test_csv_header_and_row_shape():

@@ -273,13 +273,6 @@ def test_mark_face_dead_without_alternative_keeps_entry():
     assert "failover_reforwards" not in r.counters
 
 
-def test_scripted_chooser_overrides_strategy():
-    sim, net, r, f_d1, f_d2, f_u = two_face_node()
-    r.scripted_chooser = lambda interest: f_d2   # deliberately odd choice
-    out = handled(r, Interest(PREFIX.with_segment(1), nonce=1), f_d1)
-    assert [f for f, _ in out] == [f_d2]
-
-
 def test_flow_balance_one_data_per_interest_per_face():
     # N interests for the same name from two faces produce exactly one
     # data packet back on each face, never more.
@@ -369,7 +362,7 @@ class ReferenceNode(NdnNode):
         return emissions
 
     def _forward(self, interest, entry, in_face):
-        face_id = self._choose_face(interest, exclude=(in_face,))
+        face_id = self._upstream(interest.name, (in_face,))
         if face_id is None:
             self.no_route_drops += 1
             return []
@@ -399,12 +392,12 @@ NAMES = [PREFIX.with_segment(k) for k in (1, 2, 3)] + [OTHER.with_segment(1)]
 
 
 def forwarding_world(cls, cs_capacity, producer, strategy=BEST_ROUTE,
-                     chooser=None, segment_route=False):
+                     segment_route=False):
     """Node r of class cls: downstream faces d1, d2 and the app face,
     upstream faces u1, u2 on one FIB entry, and a recorder of every
     `(face, packet)` handed to its `_send`.  Under the weighted strategy
-    u2 weighs less than u1; `chooser(faces)` makes r's scripted chooser;
-    `segment_route` adds a FIB entry on segment 2's whole name, to u2."""
+    u2 weighs less than u1; `segment_route` adds a FIB entry on segment 2's
+    whole name that prefers u2, the shape of C's switch."""
     sim, net, r = make_node(cls=cls, cs_capacity=cs_capacity, pit_lifetime=100.0,
                             strategy=strategy)
     faces = {"app": APP_FACE}
@@ -416,8 +409,6 @@ def forwarding_world(cls, cs_capacity, producer, strategy=BEST_ROUTE,
         r.add_route(PREFIX.with_segment(2), [(faces["u2"], 10), (faces["u1"], 20)])
     r.qualities[faces["u1"]].delay_estimate = 50.0
     r.qualities[faces["u2"]].delay_estimate = 10.0
-    if chooser is not None:
-        r.scripted_chooser = chooser(faces)
     if producer:
         r.publish(ContentObject(PREFIX, 150, chunk_size=100))  # segments 1, 2
     sent = []
@@ -449,12 +440,6 @@ STEPS = st.one_of(
 )
 
 
-def odd_segments_to_u2(faces):
-    """C's kind of chooser: some Interests to a fixed face, the rest
-    (None) to the strategy."""
-    return lambda interest: faces["u2"] if (interest.name.segment() or 0) % 2 else None
-
-
 def trains(steps):
     """The steps in order, with each run of consecutive packet steps on
     one face gathered into one `("train", face, packets)` step."""
@@ -479,40 +464,38 @@ def trains(steps):
 @settings(max_examples=300, deadline=None)
 @given(cs_capacity=st.sampled_from([0, 300, 1 << 20]), producer=st.booleans(),
        strategy=st.sampled_from([BEST_ROUTE, WEIGHTED]),
-       chooser=st.sampled_from([None, odd_segments_to_u2]),
        segment_route=st.booleans(),
        steps=st.lists(STEPS, min_size=5, max_size=40))
 @example(cs_capacity=0, producer=False,  # an Interest at its entry's expiry
-         strategy=BEST_ROUTE, chooser=None, segment_route=False,
+         strategy=BEST_ROUTE, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
                 ("interest", NAMES[0], 2, "d2", 10.0)])
 @example(cs_capacity=0, producer=False,  # a Data at its entry's expiry
-         strategy=BEST_ROUTE, chooser=None, segment_route=False,
+         strategy=BEST_ROUTE, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 10.0), ("advance", 10.0),
                 ("data", NAMES[0], "u1")])
 @example(cs_capacity=0, producer=False,  # a retransmission with no route left
-         strategy=BEST_ROUTE, chooser=None, segment_route=False,
+         strategy=BEST_ROUTE, segment_route=False,
          steps=[("interest", NAMES[0], 1, "d1", 50.0), ("dead", "u1"),
                 ("dead", "u2"), ("interest", NAMES[0], 2, "d1", 50.0),
                 ("data", NAMES[0], "u1")])
 @example(cs_capacity=0, producer=False,  # one train over a whole-name route
-         strategy=BEST_ROUTE, chooser=None, segment_route=True,
+         strategy=BEST_ROUTE, segment_route=True,
          steps=[("interest", NAMES[0], 1, "d1", 50.0),
                 ("interest", NAMES[1], 2, "d1", 50.0),
                 ("interest", NAMES[2], 3, "d1", 50.0),
                 ("interest", NAMES[3], 4, "d1", 50.0),
                 ("interest", NAMES[0], 5, "d1", 50.0)])
 def test_receive_matches_the_emissions_reference(cs_capacity, producer, strategy,
-                                                 chooser, segment_route, steps):
+                                                 segment_route, steps):
     """`receive`, given each run of same-face packets as one train, sends
     the same packets on the same faces and leaves the same counters, PIT
     and Content Store as the reference given one packet per call, with
     repeated nonces, aggregation, expiry, an evicting Content Store (300
     bytes hold two 132-byte Data), a producer, unsolicited Data, dead
-    upstream faces, both strategies, a scripted chooser and a FIB entry
-    on a whole segment name inside trains of several prefixes."""
-    worlds = [forwarding_world(cls, cs_capacity, producer, strategy, chooser,
-                               segment_route)
+    upstream faces, both strategies and a FIB entry on a whole segment
+    name inside trains of several prefixes."""
+    worlds = [forwarding_world(cls, cs_capacity, producer, strategy, segment_route)
               for cls in (NdnNode, ReferenceNode)]
     for step in trains(steps):
         for sim, _net, r, faces, sent in worlds:
