@@ -33,8 +33,8 @@ from .content import ContentObject
 from .httpproxy import HttpNode, HttpPlane, HttpRequest, ProxyConfig
 from .metrics import Fetch, MetricsRecord, max_gap
 from .names import Name, longest_prefix_match
-from .ndn import BEST_ROUTE, ConsumerPipeline, NdnNode, strategy_select
-from .network import Network
+from .ndn import BEST_ROUTE, ConsumerPipeline, FibEntry, NdnNode, strategy_select
+from .network import Network, instrument
 from .scenarios import NODES, ScenarioConfig, TopologyConfig
 from .sim import Simulator, derive_seed, make_rng
 
@@ -86,10 +86,10 @@ class World:
 
     def __init__(self, cfg: ScenarioConfig, seed: int, nodes: dict,
                  topo: TopologyConfig | None, loss_access: float,
-                 loss_upstream: float, trace: bool):
+                 loss_upstream: float):
         self.cfg = cfg
         self.seed = seed
-        self.sim = Simulator(trace)
+        self.sim = Simulator()
         self.net = Network(self.sim, seed)
         self.nodes = nodes
         for node in nodes.values():
@@ -115,11 +115,11 @@ class NdnWorld(World):
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
-                 strategy: str = BEST_ROUTE, trace: bool = False):
+                 strategy: str = BEST_ROUTE):
         nodes = {name: NdnNode(name, cs_capacity=_cache_capacity(cfg, name),
                                strategy=strategy, pit_lifetime=cfg.pit_lifetime)
                  for name in NODES}
-        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream, trace)
+        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream)
         for a, b in self.net.faces:
             nodes[a].add_face(b)
         self.content = ContentObject(CONTENT_PREFIX, size,
@@ -165,13 +165,13 @@ class NdnWorld(World):
 
     def script_switch(self, k: int):
         """C's mid-transfer source switch as routes at csc: the content's
-        prefix to int2, and each of segments 1..k, by its whole name, to int1
-        until the first fetch ends (see `fetch`)."""
+        prefix to int2, and each of segments 1..k, by its whole name, to one
+        entry for int1 until the first fetch ends (see `fetch`)."""
         csc = self.nodes["csc"]
         face1, face2 = (csc.face_of[b] for b in ("int1", "int2"))
         csc.add_route(CONTENT_PREFIX, [(face2, 10)])
-        for seg in range(1, k + 1):
-            csc.add_route(CONTENT_PREFIX.with_segment(seg), [(face1, 10)])
+        segments = map(CONTENT_PREFIX.with_segment, range(1, k + 1))
+        csc.fib.update(dict.fromkeys(segments, FibEntry([(face1, 10)])))
 
     def warm(self, node_name: str, nbytes: int):
         """Cache the whole segments that hold the first `nbytes` at node_name."""
@@ -218,8 +218,7 @@ class HttpWorld(World):
     def __init__(self, cfg: ScenarioConfig, seed: int, size: int, *,
                  loss_access: float = 0.0, loss_upstream: float = 0.0,
                  topo: TopologyConfig | None = None,
-                 lb_policy: str = "round_robin", range_mode: str = "bypass",
-                 trace: bool = False):
+                 lb_policy: str = "round_robin", range_mode: str = "bypass"):
         def proxy(name, kind, upstreams, policy):
             return HttpNode(name, cache_capacity=_cache_capacity(cfg, name),
                             proxy=ProxyConfig(kind, upstreams, lb_policy=policy,
@@ -230,7 +229,7 @@ class HttpWorld(World):
                  "int1": proxy("int1", "reverse", ["origin"], "single"),
                  "int2": proxy("int2", "reverse", ["origin"], "single"),
                  "origin": HttpNode("origin")}
-        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream, trace)
+        super().__init__(cfg, seed, nodes, topo, loss_access, loss_upstream)
         nodes["origin"].publish(CONTENT_URL, size)
         self.plane = HttpPlane(self.net, mss=cfg.mss)
 
@@ -363,9 +362,10 @@ def execute(cfg: ScenarioConfig, spec: RunSpec, trace: bool = False):
     """Run one spec.  Returns (records, detail): the spec's records in
     fetch order and the per-run values that `collect` appends to the
     experiment's details.  With `trace`, detail["trace"] holds the
-    world's event trace; tracing changes nothing else."""
+    world's event trace (`network.instrument`); tracing changes nothing else."""
     world = (NdnWorld if spec.plane == "ndn" else HttpWorld)(
-        cfg, spec.seed, spec.size, trace=trace, **spec.world)
+        cfg, spec.seed, spec.size, **spec.world)
+    lines = instrument(world.net) if trace else None  # before `arm` binds net's methods
     if spec.warm is not None:
         world.warm(*spec.warm)
     world.arm(spec)
@@ -398,7 +398,7 @@ def execute(cfg: ScenarioConfig, spec: RunSpec, trace: bool = False):
         records.append(rec)
     detail = world.detail(spec, results[-1])
     if trace:
-        detail["trace"] = world.sim.trace_text()
+        detail["trace"] = "\n".join(lines) + "\n" if lines else ""
     return records, detail
 
 

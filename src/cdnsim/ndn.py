@@ -68,7 +68,6 @@ class FaceQuality:
 
 @dataclass
 class FibEntry:
-    prefix: Name
     nexthops: list  # [(face_id, static_cost)]
 
     def __post_init__(self):
@@ -190,7 +189,7 @@ class NdnNode(Node):
         return face_id
 
     def add_route(self, prefix: Name, nexthops):
-        self.fib[prefix] = FibEntry(prefix, list(nexthops))
+        self.fib[prefix] = FibEntry(list(nexthops))
 
     def publish(self, content: ContentObject):
         self.producer_contents[content.prefix] = content

@@ -1,4 +1,4 @@
-"""Links with delay/loss, node wiring, and fault injection.
+"""Links with delay/loss, node wiring, fault injection and tracing.
 
 Links have infinite bandwidth: a delivered packet arrives exactly one
 link delay after it was sent.  Loss is an independent per-packet Bernoulli
@@ -169,29 +169,18 @@ class Network:
         if link.loss <= 0.0:
             link.tx[(face.src, face.dst)] += 1  # such a draw uses no random()
         elif link.should_drop(face.src, face.dst):
-            if sim.trace is not None:
-                sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
             return False
-        if sim.trace is not None:
-            sim.log(face.src, "tx", f"{face.dst} {packet}")
         # A link delay is never negative, so `after`'s check is not needed.
         sim.join(sim.now + link.delay, self._deliver, face, packet)
         return True
 
     def _deliver(self, face: Face, packets: list):
-        """Hand a train to `face.dst`, which drops it all if dead.  Traced, each
-        packet gets its own `rx` line and `receive`, as with one event each.  A
-        raise inside a train loses its rest: no run resumes `Simulator.run`."""
+        """Hand a train to `face.dst`, which drops it all if dead."""
         node = self.nodes[face.dst]
         if not node.alive:
             node.count("dropped_dead", len(packets))
             return
-        if self.sim.trace is None:
-            node.receive(packets, face.in_face)
-        else:
-            for packet in packets:
-                self.sim.log(face.dst, "rx", f"{face.src} {packet}")
-                node.receive((packet,), face.in_face)
+        node.receive(packets, face.in_face)
 
     # --- fault and parameter-change injection -------------------------------
 
@@ -201,8 +190,6 @@ class Network:
             return
         node.alive = False
         node.death_time = self.sim.now
-        if self.sim.trace is not None:
-            self.sim.log(name, "killed")
         for hook in list(self.kill_hooks):
             hook(name)
 
@@ -218,11 +205,49 @@ class Network:
             link.delay = delay
         if loss is not None:
             link.loss = loss
-        if self.sim.trace is not None:
-            self.sim.log(a, "link-change", f"{b} delay={link.delay} loss={link.loss}")
 
     def schedule_link_change(self, t: float, a: str, b: str, delay=None, loss=None):
         if (a, b) not in self.faces:
             raise ValueError(f"unknown link {a}-{b}")
         check_link_values(delay, loss)
         self.sim.at(t, self.set_link, a, b, delay, loss)
+
+
+def instrument(net: Network) -> list:
+    """Trace `net`: wrap its `transmit`, `_deliver`, `kill_node` and
+    `set_link`, on the instance, to append `time<TAB>node<TAB>kind<TAB>detail`
+    lines to the list returned: `tx` or `drop-loss` per send, `rx` per packet
+    a live node gets (a train is handed over one packet at a time), `killed`
+    before the kill hooks run, and `link-change`.  The wrappers hold `net`."""
+    sim, lines = net.sim, []
+    transmit, deliver, kill_node, set_link = (
+        net.transmit, net._deliver, net.kill_node, net.set_link)
+
+    def log(node, kind, detail=""):
+        lines.append(f"{sim.now:g}\t{node}\t{kind}\t{detail}")
+
+    def traced_transmit(face, packet):
+        sent = transmit(face, packet)
+        log(face.src, "tx" if sent else "drop-loss", f"{face.dst} {packet}")
+        return sent
+
+    def traced_deliver(face, packets):
+        if not net.nodes[face.dst].alive:
+            return deliver(face, packets)
+        for packet in packets:
+            log(face.dst, "rx", f"{face.src} {packet}")
+            deliver(face, (packet,))
+
+    def traced_kill_node(name):
+        if net.nodes[name].alive:
+            log(name, "killed")
+        kill_node(name)
+
+    def traced_set_link(a, b, delay=None, loss=None):
+        set_link(a, b, delay, loss)
+        link = net.link_between(a, b)
+        log(a, "link-change", f"{b} delay={link.delay} loss={link.loss}")
+
+    net.transmit, net._deliver = traced_transmit, traced_deliver
+    net.kill_node, net.set_link = traced_kill_node, traced_set_link
+    return lines

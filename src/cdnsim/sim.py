@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import operator
 import random
 
 
@@ -41,15 +40,13 @@ class Simulator:
     Times are simulation milliseconds.  `_heap` holds each pending time
     once and `_queues` maps it to its events, `(fn, args)` in scheduling
     order.  `executed` is brought up to date when a time's events are
-    done; a callback that raises leaves the events after it queued, and
-    `run()` resumes with them.  A callback must not call `run()`.
+    done.  A callback must not call `run()`; one that raises ends the run.
     """
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now = 0.0
         self._heap = []     # distinct pending times
         self._queues = {}   # time -> [(fn, args)] in scheduling order
-        self.trace = [] if trace else None
         self.executed = 0
 
     def at(self, time: float, fn, *args):
@@ -87,29 +84,8 @@ class Simulator:
             queue = queues[time]
             # A list iterator also reaches what a callback appends to the
             # list, which is every event it schedules at `now`.
-            events = iter(queue)
-            try:
-                for fn, args in events:
-                    fn(*args)
-            except BaseException:
-                ran = len(queue) - operator.length_hint(events)
-                self.executed += ran
-                del queue[:ran]
-                raise
+            for fn, args in queue:
+                fn(*args)
             self.executed += len(queue)
             heapq.heappop(heap)
             del queues[time]
-
-    def log(self, node: str, kind: str, detail: str = ""):
-        """Append one `time<TAB>node<TAB>kind<TAB>detail` trace line.
-
-        Does nothing when tracing is off.  Python evaluates the arguments
-        before the call, so a caller that formats `detail` (an f-string,
-        a packet repr) must check `self.trace is not None` first; this
-        keeps an untraced run free of string work.
-        """
-        if self.trace is not None:
-            self.trace.append(f"{self.now:g}\t{node}\t{kind}\t{detail}")
-
-    def trace_text(self) -> str:
-        return "\n".join(self.trace) + "\n" if self.trace else ""

@@ -18,7 +18,7 @@ from cdnsim.experiments import (HttpWorld, NdnWorld, experiment_b_topologies,
 from cdnsim.metrics import records_to_csv
 from cdnsim.names import Name, longest_prefix_match
 from cdnsim.ndn import NdnNode, compute_path_weight
-from cdnsim.network import Network
+from cdnsim.network import Network, instrument
 from cdnsim.scenarios import config_from_dict
 from cdnsim.sim import Simulator
 from cdnsim.tcp import DEFAULT_MSS, TcpTransfer, preestablished
@@ -346,10 +346,10 @@ def test_criterion_8_determinism():
             assert csv_a == csv_b
 
         def traced_run(world_cls):
-            world = world_cls(cfg, seed=7, size=256 * 1024,
-                              loss_access=0.01, trace=True)
+            world = world_cls(cfg, seed=7, size=256 * 1024, loss_access=0.01)
+            lines = instrument(world.net)
             world.fetch()
-            return world.sim.trace_text()
+            return lines
 
         assert traced_run(NdnWorld) == traced_run(NdnWorld)
         assert traced_run(HttpWorld) == traced_run(HttpWorld)

@@ -15,6 +15,7 @@ import pytest
 
 from cdnsim.cli import main
 from cdnsim.experiments import HttpWorld, run_specs
+from cdnsim.network import instrument
 from cdnsim.scenarios import config_from_dict, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -177,12 +178,12 @@ def test_ndn_trace_matches_golden(tmp_path):
 
 def http_trace() -> str:
     cfg = config_from_dict({"experiment": "E", "file_sizes": ["1MB"]})
-    world = HttpWorld(cfg, 7, cfg.file_sizes[0], lb_policy="round_robin",
-                      trace=True)
+    world = HttpWorld(cfg, 7, cfg.file_sizes[0], lb_policy="round_robin")
+    lines = instrument(world.net)
     world.net.schedule_link_change(300.0, "csc", "int2", delay=20.0, loss=0.01)
     world.net.schedule_kill(1000.0, "int1")
     world.fetch()
-    return world.sim.trace_text()
+    return "\n".join(lines) + "\n"
 
 
 def test_http_trace_matches_golden():

@@ -64,13 +64,13 @@ def q(face, delay=0.0, loss=0.0, alive=True):
 
 
 def test_best_route_prefers_lowest_cost_then_lowest_face():
-    entry = FibEntry(PREFIX, [(1, 20), (2, 10), (3, 10)])
+    entry = FibEntry([(1, 20), (2, 10), (3, 10)])
     qualities = {1: q(1), 2: q(2), 3: q(3)}
     assert strategy_select(entry, qualities, BEST_ROUTE) == 2
 
 
 def test_best_route_skips_dead_faces():
-    entry = FibEntry(PREFIX, [(1, 10), (2, 20)])
+    entry = FibEntry([(1, 10), (2, 20)])
     qualities = {1: q(1, alive=False), 2: q(2)}
     assert strategy_select(entry, qualities, BEST_ROUTE) == 2
     qualities[2].alive = False
@@ -78,20 +78,20 @@ def test_best_route_skips_dead_faces():
 
 
 def test_weighted_picks_smallest_weight():
-    entry = FibEntry(PREFIX, [(1, 10), (2, 20)])
+    entry = FibEntry([(1, 10), (2, 20)])
     qualities = {1: q(1, delay=50.0, loss=1.0),   # weight 5100
                  2: q(2, delay=50.0, loss=0.0)}   # weight 5000
     assert strategy_select(entry, qualities, WEIGHTED) == 2
 
 
 def test_weighted_tie_breaks_to_lowest_face():
-    entry = FibEntry(PREFIX, [(2, 10), (1, 20)])
+    entry = FibEntry([(2, 10), (1, 20)])
     qualities = {1: q(1, delay=10.0), 2: q(2, delay=10.0)}
     assert strategy_select(entry, qualities, WEIGHTED) == 1
 
 
 def test_strategy_respects_exclude_and_unknown_mode():
-    entry = FibEntry(PREFIX, [(1, 10), (2, 20)])
+    entry = FibEntry([(1, 10), (2, 20)])
     qualities = {1: q(1), 2: q(2)}
     assert strategy_select(entry, qualities, BEST_ROUTE, exclude={1}) == 2
     with pytest.raises(ValueError):
@@ -102,16 +102,16 @@ def test_strategy_respects_exclude_and_unknown_mode():
 
 def test_fib_entry_validation():
     with pytest.raises(ValueError):
-        FibEntry(PREFIX, [])
+        FibEntry([])
     with pytest.raises(ValueError):
-        FibEntry(PREFIX, [(1, 10), (1, 20)])
+        FibEntry([(1, 10), (1, 20)])
 
 
 @given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, 100)),
                 min_size=1, max_size=8, unique_by=lambda t: t[0]),
        st.data())
 def test_weighted_matches_brute_force_argmin(nexthops, data):
-    entry = FibEntry(PREFIX, nexthops)
+    entry = FibEntry(nexthops)
     qualities = {}
     for face, _ in nexthops:
         qualities[face] = q(face,
@@ -521,7 +521,7 @@ def test_receive_matches_the_emissions_reference(cs_capacity, producer, strategy
        st.data())
 def test_best_route_matches_brute_force_argmin(nexthops, data):
     # Few distinct costs, so equal-cost nexthops are common.
-    entry = FibEntry(PREFIX, nexthops)
+    entry = FibEntry(nexthops)
     faces = [f for f, _ in nexthops]
     qualities = {f: q(f, alive=data.draw(st.booleans())) for f in faces
                  if data.draw(st.booleans())}  # a face may have no entry

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdnsim import experiments
 from cdnsim.experiments import NdnWorld, execute, run_specs
 from cdnsim.names import Name
-from cdnsim.network import Link, Network, Node
+from cdnsim.network import Link, Network, Node, instrument
 from cdnsim.scenarios import NODES, config_from_dict
 from cdnsim.sim import SimError, Simulator
 from scripted import script_drops
@@ -185,39 +185,65 @@ def test_same_seed_same_drop_sequence():
 def test_untraced_fetch_formats_no_trace_text(monkeypatch):
     # A packet repr formats its Name, so counting Name.__str__ counts the
     # trace text built.  Untraced, only the consumer's set-up string (the
-    # prefix that seeds its nonce RNG) may be built.
-    original_str, original_log = Name.__str__, Simulator.log
-    calls, logged = [], []
+    # prefix that seeds its nonce RNG) may be built, and the network runs
+    # its class's methods, none of the trace layer's.
+    original_str = Name.__str__
+    calls = []
 
     def counting_str(self):
         calls.append(self)
         return original_str(self)
 
-    def counting_log(sim, *args):
-        logged.append(args)
-        original_log(sim, *args)
-
     monkeypatch.setattr(Name, "__str__", counting_str)
-    monkeypatch.setattr(Simulator, "log", counting_log)
     cfg = config_from_dict({"experiment": "A", "file_sizes": ["100KB"]})
 
     def fetch(trace):
-        world = NdnWorld(cfg, 3, cfg.file_sizes[0], loss_access=0.05,
-                         trace=trace)
+        world = NdnWorld(cfg, 3, cfg.file_sizes[0], loss_access=0.05)
+        lines = instrument(world.net) if trace else []
         world.net.schedule_link_change(100.0, "csc", "int2", delay=20.0)
         world.net.schedule_kill(150.0, "int2")
         res = world.fetch()
         assert res.success and world.content.segment_count > 1
-        return world
+        return world, lines
 
-    fetch(trace=False)
+    world, _ = fetch(trace=False)
     assert len(calls) == 1
-    assert logged == []
+    assert not {"transmit", "_deliver", "kill_node", "set_link"} & vars(world.net).keys()
     calls.clear()
-    world = fetch(trace=True)
-    kinds = {line.split("\t")[2] for line in world.sim.trace}
+    _, lines = fetch(trace=True)
+    kinds = {line.split("\t")[2] for line in lines}
     assert {"tx", "rx", "drop-loss", "killed", "link-change"} <= kinds
-    assert len(calls) > len(world.sim.trace) // 2
+    assert len(calls) > len(lines) // 2
+
+
+def test_trace_lines_have_fixed_shape():
+    """`instrument` logs each kind of line at a time that is not whole: a
+    train gets one `rx` line and one `receive` per packet, a dead receiver no
+    `rx` line, and `killed` comes before what the kill hooks send."""
+    sim, net, a, b = make_net(loss=1.0, delay=1.25)
+    trains = []
+    b.receive = lambda packets, in_face: trains.append(list(packets))
+    net.kill_hooks.append(lambda name: net.transmit(net.face("a", "b"), "hook"))
+    lines = instrument(net)
+    face = net.face("a", "b")
+    sim.at(0.5, net.transmit, face, "lost")
+    sim.at(1.0, net.set_link, "a", "b", None, 0.0)
+    sim.at(1.5, net.transmit, face, "p1")
+    sim.at(1.5, net.transmit, face, "p2")
+    sim.at(3.5, net.kill_node, "b")
+    sim.at(4.5, net.kill_node, "b")
+    sim.run()
+    assert lines == ["0.5\ta\tdrop-loss\tb lost",
+                     "1\ta\tlink-change\tb delay=1.25 loss=0.0",
+                     "1.5\ta\ttx\tb p1",
+                     "1.5\ta\ttx\tb p2",
+                     "2.75\tb\trx\ta p1",
+                     "2.75\tb\trx\ta p2",
+                     "3.5\tb\tkilled\t",
+                     "3.5\ta\ttx\tb hook"]
+    assert trains == [["p1"], ["p2"]]
+    assert b.counters == {"dropped_dead": 1}
+    assert sim.executed == 8  # 6 scheduled, one train of two, one dead delivery
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,22 +336,9 @@ class PerPacketNetwork(Network):
         if link.loss <= 0.0:
             link.tx[(face.src, face.dst)] += 1
         elif link.should_drop(face.src, face.dst):
-            if sim.trace is not None:
-                sim.log(face.src, "drop-loss", f"{face.dst} {packet}")
             return False
-        if sim.trace is not None:
-            sim.log(face.src, "tx", f"{face.dst} {packet}")
-        sim.at(sim.now + link.delay, self._deliver, face, packet)
+        sim.at(sim.now + link.delay, self._deliver, face, [packet])
         return True
-
-    def _deliver(self, face, packet):
-        node = self.nodes[face.dst]
-        if not node.alive:
-            node.count("dropped_dead")
-            return
-        if self.sim.trace is not None:
-            self.sim.log(face.dst, "rx", f"{face.src} {packet}")
-        node.receive((packet,), face.in_face)
 
 
 def recording(network_cls, built):
